@@ -11,8 +11,11 @@ the uniform distribution everywhere.
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diffusion import forward_noise
 from .errors import InvalidParameter
@@ -24,6 +27,15 @@ TIME_FEATURES = 8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Training runs each batch in blocks of this many whole samples, stacked
+# into one disjoint-union graph so that each matmul runs once per block. A
+# block's (nodes, n) node-head rows and (pairs, 2h) pair-head rows grow with
+# it: at n=1000, k=20, train's peak RSS measured 3 MB above the per-sample
+# loop's with 8 samples and 8 MB above with 16, which was 10-20% faster.
+BLOCK_SAMPLES = 8
+
+SAVE_CHUNK = 4096  # numbers per json.dumps call when writing a checkpoint
 
 
 @dataclass
@@ -91,13 +103,22 @@ class DenoiserParams:
                               self.time_dim)
 
     def save(self, path):
-        obj = {"version": 1, "n": self.n, "h": self.h, "L": self.L,
-               "time_dim": self.time_dim,
-               "tensors": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-                           for k, v in self.tensors.items()}}
+        """Write the bytes json.dump(obj, fh, sort_keys=True) plus a newline
+        would, through the C encoder, SAVE_CHUNK numbers at a time (json.dump
+        runs the pure-Python encoder over the whole object)."""
+        head = json.dumps({"L": self.L, "h": self.h, "n": self.n}, sort_keys=True)
+        tail = json.dumps({"time_dim": self.time_dim, "version": 1}, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(head[:-1] + ', "tensors": {')
+            for i, key in enumerate(sorted(self.tensors)):
+                data = self.tensors[key].ravel()
+                fh.write(f'{", " if i else ""}{json.dumps(key)}: {{"data": [')
+                for lo in range(0, data.size, SAVE_CHUNK):
+                    chunk = json.dumps(data[lo:lo + SAVE_CHUNK].tolist())[1:-1]
+                    fh.write(", " + chunk if lo else chunk)
+                shape = json.dumps(list(self.tensors[key].shape))
+                fh.write(f'], "shape": {shape}}}')
+            fh.write("}, " + tail[1:] + "\n")
 
     @classmethod
     def load(cls, path):
@@ -111,58 +132,145 @@ class DenoiserParams:
 
 
 def _time_features(t, T):
-    tau = t / T
+    """Sinusoidal features of t / T, one row per entry of t."""
+    tau = np.asarray(t, dtype=np.float64)[:, None] / T
     freqs = 2.0 ** np.arange(TIME_FEATURES // 2)
     ang = np.pi * tau * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True) if z.size else z
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True) if z.size else e
+def _softmax_(z):
+    """Row-wise softmax, computed in place."""
+    if z.size:
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def _forward(params, noisy, sched):
+def _scatter_matrix(index, size):
+    """Sparse (size, len(index)) 0/1 matrix S: S @ V adds row q of V to row
+    index[q], or to each row index[q, :] when index is 2-D."""
+    index = np.asarray(index)
+    m = len(index)
+    r = index.size // m if m else 1
+    return sp.csc_matrix((np.ones(m * r), index.ravel(), np.arange(0, m * r + 1, r)),
+                         shape=(size, m))
+
+
+class _Layout:
+    """Index arrays of samples with sizes ks stacked as one disjoint union.
+
+    Sample s owns node rows starts[s]:starts[s]+ks[s]; its pair rows follow
+    in local_pairs order with node indices offset by starts[s] (I < J). For
+    per-sample dense work, node v also has a row in a zero-padded
+    (B, kmax) layout: row[v] = seg[v] * kmax + pos[v].
+    """
+
+    def __init__(self, ks):
+        self.B = len(ks)
+        self.N = sum(ks)
+        self.kmax = max(ks)
+        starts = [0] + list(accumulate(ks[:-1]))
+        self.ks = np.array(ks)
+        self.starts = np.array(starts)
+        self.seg = np.repeat(np.arange(self.B), self.ks)
+        self.pos = np.arange(self.N) - self.starts[self.seg]
+        self.row = self.seg * self.kmax + self.pos
+        self.I = np.concatenate([local_pairs(k)[0] + o for k, o in zip(ks, starts)])
+        self.J = np.concatenate([local_pairs(k)[1] + o for k, o in zip(ks, starts)])
+        for arr in (self.ks, self.starts, self.seg, self.pos, self.row, self.I, self.J):
+            arr.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _layout(ks):
+    return _Layout(ks)
+
+
+def _pad(X, lay):
+    """Stacked rows -> (B, kmax, width), zero rows past each sample's end."""
+    if lay.N == lay.B * lay.kmax:
+        return X.reshape(lay.B, lay.kmax, -1)
+    out = np.zeros((lay.B * lay.kmax, X.shape[1]))
+    out[lay.row] = X
+    return out.reshape(lay.B, lay.kmax, -1)
+
+
+def _unpad(Y, lay):
+    """(B, kmax, width) -> stacked rows; inverse of _pad."""
+    Y = Y.reshape(-1, Y.shape[2])
+    return Y if lay.N == lay.B * lay.kmax else Y[lay.row]
+
+
+def _forward(params, block, sched, work=None):
+    """Forward pass over a block of NoisySample stacked as one disjoint union
+    (see _Layout). Returns (p_x, p_e, cache) with rows in stacked order.
+
+    work, if given, is a (2, rows, 2h) buffer with rows >= the block's pair
+    count; the pair head's pre-activations are built in it.
+    """
     t = params.tensors
-    k = noisy.k
-    feats = _time_features(noisy.t, sched.T)
-    tv = feats @ t["time_w"] + t["time_b"]
-    H = t["node_embed"][noisy.x_t] + tv[None, :]
+    h = params.h
+    lay = _layout(tuple(s.k for s in block))
+    B, N, kmax, seg, row, I, J = lay.B, lay.N, lay.kmax, lay.seg, lay.row, lay.I, lay.J
+    x_t = np.concatenate([s.x_t for s in block])
+    e_t = np.concatenate([s.e_t for s in block]).astype(np.int64)
 
-    iu, ju = local_pairs(k)
-    A = np.zeros((k, k))
-    present = noisy.e_t == 1
-    A[iu[present], ju[present]] = 1.0
-    A[ju[present], iu[present]] = 1.0
-    P = A / np.maximum(A.sum(axis=1), 1.0)[:, None]
+    feats = _time_features([s.t for s in block], sched.T)
+    tv = feats @ t["time_w"] + t["time_b"]
+    H = t["node_embed"][x_t] + tv[seg]
+
+    # per-sample row-normalized adjacency, padded: (P @ H)[i] is the mean of
+    # H over i's neighbours (zero for isolated nodes)
+    P = np.zeros((B * kmax, kmax))
+    present = e_t == 1
+    P[row[I[present]], lay.pos[J[present]]] = 1.0
+    P[row[J[present]], lay.pos[I[present]]] = 1.0
+    P /= np.maximum(P.sum(axis=1), 1.0)[:, None]
+    P = P.reshape(B, kmax, kmax)
 
     layers = []
     for l in range(params.L):
         H_in = H
-        M = P @ H_in
-        c = H_in.mean(axis=0)
-        U = (H_in @ t[f"layer{l}.w_self"] + M @ t[f"layer{l}.w_msg"]
-             + (c @ t[f"layer{l}.w_ctx"])[None, :] + t[f"layer{l}.b"])
-        H = np.tanh(U)
+        M = _unpad(P @ _pad(H_in, lay), lay)
+        c = np.add.reduceat(H_in, lay.starts, axis=0) / lay.ks[:, None]
+        U = H_in @ t[f"layer{l}.w_self"]
+        U += M @ t[f"layer{l}.w_msg"]
+        U += (c @ t[f"layer{l}.w_ctx"])[seg]
+        U += t[f"layer{l}.b"]
+        H = np.tanh(U, out=U)
         layers.append((H_in, M, c, H))
 
-    logits_x = H @ t["node_head_w"] + t["node_head_b"]
-    p_x = _softmax(logits_x)
+    # symmetrized MLP head: score(i,j) + score(j,i). Its first layer acts on
+    # [H_i, H_j, onehot(e)], so it splits into per-node products plus a row
+    # of W1c: with W1 = [Wa; Wb; Wc], both orders' pre-activations are
+    # [U_ij | U_ji] = (H @ [Wa | Wb])[i] + G[e*N + j], where G stacks
+    # H @ [Wb | Wa] + [b_e | b_e], b_e = Wc[e] + b1, for e = 0 and 1.
+    w1 = t["edge_head_w1"]
+    wa, wb = w1[:h], w1[h:2 * h]
+    b_e = w1[2 * h:] + t["edge_head_b1"]
+    b_e = np.concatenate([b_e, b_e], axis=1)
+    Hb = H @ np.concatenate([wb, wa], axis=1)
+    G = (Hb[None] + b_e[:, None]).reshape(2 * N, 2 * h)
+    Je = J + N * e_t
+    if work is None:
+        work = np.empty((2, len(I), 2 * h))
+    Z = np.take(H @ np.concatenate([wa, wb], axis=1), I, axis=0, out=work[0, :len(I)])
+    Z += np.take(G, Je, axis=0, out=work[1, :len(I)])
+    np.tanh(Z, out=Z)
+    w2 = t["edge_head_w2"]
+    p_e = Z @ np.concatenate([w2, w2])  # (A_ij + A_ji) @ W2
+    p_e += 2.0 * t["edge_head_b2"]
+    _softmax_(p_e)
 
-    pf = np.zeros((iu.size, 2))
-    pf[np.arange(iu.size), noisy.e_t.astype(np.int64)] = 1.0
-    # symmetrized MLP head: score(i,j) + score(j,i)
-    E1 = np.concatenate([H[iu], H[ju], pf], axis=1)
-    E2 = np.concatenate([H[ju], H[iu], pf], axis=1)
-    A1 = np.tanh(E1 @ t["edge_head_w1"] + t["edge_head_b1"])
-    A2 = np.tanh(E2 @ t["edge_head_w1"] + t["edge_head_b1"])
-    logits_e = (A1 + A2) @ t["edge_head_w2"] + 2.0 * t["edge_head_b2"]
-    p_e = _softmax(logits_e)
+    # the node head last: at n=1000 this order measured 1 MB less peak RSS
+    p_x = H @ t["node_head_w"]
+    p_x += t["node_head_b"]
+    _softmax_(p_x)
 
-    cache = {"feats": feats, "P": P, "layers": layers, "H_L": H,
-             "iu": iu, "ju": ju, "E1": E1, "E2": E2, "A1": A1, "A2": A2,
-             "p_x": p_x, "p_e": p_e, "x_t": noisy.x_t}
+    cache = {"layout": lay, "x_t": x_t, "Je": Je, "feats": feats, "P": P,
+             "layers": layers, "Z": Z, "p_x": p_x, "p_e": p_e}
     return p_x, p_e, cache
 
 
@@ -170,82 +278,112 @@ def predict(params, noisy, sched):
     """(p_x, p_e): rows are distributions over node IDs / pair states."""
     if len(sched.m_x) != params.n:
         raise InvalidParameter("schedule and params disagree on parent size")
-    p_x, p_e, _ = _forward(params, noisy, sched)
+    p_x, p_e, _ = _forward(params, [noisy], sched)
     return p_x, p_e
+
+
+def _cross_entropy(p, targets):
+    return -np.log(np.clip(p[np.arange(len(targets)), targets], 1e-30, None)).sum()
+
+
+def _loss(p_x, p_e, x_clean, e_clean, lam):
+    edge_term = _cross_entropy(p_e, e_clean) if e_clean.size else 0.0
+    return float(_cross_entropy(p_x, x_clean) + lam * edge_term)
 
 
 def loss(p_x, p_e, clean, lam):
     """Summed cross-entropy to the clean states; pair term weighted by lam."""
-    targets = clean.id_map
-    e_clean = clean.edge_states().astype(np.int64)
-    node_term = -np.log(np.clip(p_x[np.arange(len(targets)), targets], 1e-30, None)).sum()
-    if e_clean.size:
-        edge_term = -np.log(np.clip(p_e[np.arange(len(e_clean)), e_clean], 1e-30, None)).sum()
-    else:
-        edge_term = 0.0
-    return float(node_term + lam * edge_term)
+    return _loss(p_x, p_e, clean.id_map, clean.edge_states().astype(np.int64), lam)
 
 
-def _backward(params, cache, clean, lam, grads):
-    """Accumulate d loss / d params for one sample into `grads`."""
+def _backward(params, cache, x_clean, e_clean, lam, grads):
+    """Accumulate d loss / d params for one block into `grads`.
+
+    Consumes the cache: its large arrays are overwritten by gradients in
+    place and dropped once used, so the next block can reuse their memory.
+    """
     t = params.tensors
     h = params.h
-    k = len(cache["x_t"])
-    H_L = cache["H_L"]
-    iu, ju = cache["iu"], cache["ju"]
+    lay = cache["layout"]
+    N, I = lay.N, lay.I
 
-    targets = clean.id_map
-    dZx = cache["p_x"].copy()
-    dZx[np.arange(k), targets] -= 1.0
+    dZx = cache.pop("p_x")
+    dZx[np.arange(N), x_clean] -= 1.0
+    H_L = cache["layers"][-1][3]
     grads["node_head_w"] += H_L.T @ dZx
     grads["node_head_b"] += dZx.sum(axis=0)
     dH = dZx @ t["node_head_w"].T
+    del dZx
 
-    if iu.size:
-        e_clean = clean.edge_states().astype(np.int64)
-        dZe = cache["p_e"].copy()
-        dZe[np.arange(iu.size), e_clean] -= 1.0
+    if I.size:
+        dZe = cache.pop("p_e")
+        dZe[np.arange(I.size), e_clean] -= 1.0
         dZe *= lam
-        A1, A2 = cache["A1"], cache["A2"]
-        grads["edge_head_w2"] += (A1 + A2).T @ dZe
+        dU = cache.pop("Z")
+        dW2 = dU.T @ dZe
+        grads["edge_head_w2"] += dW2[:h] + dW2[h:]
         grads["edge_head_b2"] += 2.0 * dZe.sum(axis=0)
         dA = dZe @ t["edge_head_w2"].T
-        dU1 = dA * (1.0 - A1 ** 2)
-        dU2 = dA * (1.0 - A2 ** 2)
-        grads["edge_head_w1"] += cache["E1"].T @ dU1 + cache["E2"].T @ dU2
-        grads["edge_head_b1"] += dU1.sum(axis=0) + dU2.sum(axis=0)
-        dE1 = dU1 @ t["edge_head_w1"].T
-        dE2 = dU2 @ t["edge_head_w1"].T
-        np.add.at(dH, iu, dE1[:, :h] + dE2[:, h:2 * h])
-        np.add.at(dH, ju, dE1[:, h:2 * h] + dE2[:, :h])
+        dU *= dU
+        np.subtract(1.0, dU, out=dU)
+        dU.reshape(-1, 2, h)[...] *= dA[:, None, :]
+        # send each pair row back to row i of H @ [Wa | Wb] and row e*N + j of G
+        d = _scatter_matrix(np.column_stack([I, N + cache["Je"]]), 3 * N) @ dU
+        dHa = d[:N]
+        dHb = d[N:2 * N] + d[2 * N:]
+        db_e = np.stack([d[N:2 * N].sum(axis=0), d[2 * N:].sum(axis=0)])
+        db_e = db_e[:, :h] + db_e[:, h:]
+        g1 = grads["edge_head_w1"]
+        w1 = t["edge_head_w1"]
+        wa, wb = w1[:h], w1[h:2 * h]
+        dWa = H_L.T @ dHa
+        dWb = H_L.T @ dHb
+        g1[:h] += dWa[:, :h] + dWb[:, h:]
+        g1[h:2 * h] += dWa[:, h:] + dWb[:, :h]
+        g1[2 * h:] += db_e
+        grads["edge_head_b1"] += db_e.sum(axis=0)
+        dH += dHa @ np.concatenate([wa, wb], axis=1).T
+        dH += dHb @ np.concatenate([wb, wa], axis=1).T
 
-    P = cache["P"]
+    PT = cache["P"].transpose(0, 2, 1)
     for l in reversed(range(params.L)):
         H_in, M, c, H_out = cache["layers"][l]
-        dU = dH * (1.0 - H_out ** 2)
+        dU = dH * (1.0 - H_out * H_out)
         grads[f"layer{l}.w_self"] += H_in.T @ dU
         grads[f"layer{l}.w_msg"] += M.T @ dU
-        dU_sum = dU.sum(axis=0)
-        grads[f"layer{l}.w_ctx"] += np.outer(c, dU_sum)
-        grads[f"layer{l}.b"] += dU_sum
+        dU_sum = np.add.reduceat(dU, lay.starts, axis=0)
+        grads[f"layer{l}.w_ctx"] += c.T @ dU_sum
+        grads[f"layer{l}.b"] += dU_sum.sum(axis=0)
         dc = dU_sum @ t[f"layer{l}.w_ctx"].T
-        dH = dU @ t[f"layer{l}.w_self"].T + P.T @ (dU @ t[f"layer{l}.w_msg"].T) \
-            + dc[None, :] / k
+        dH = dU @ t[f"layer{l}.w_self"].T
+        dH += _unpad(PT @ _pad(dU @ t[f"layer{l}.w_msg"].T, lay), lay)
+        dH += (dc / lay.ks[:, None])[lay.seg]
 
-    np.add.at(grads["node_embed"], cache["x_t"], dH)
-    dtv = dH.sum(axis=0)
-    grads["time_w"] += np.outer(cache["feats"], dtv)
-    grads["time_b"] += dtv
+    grads["node_embed"] += _scatter_matrix(cache["x_t"], params.n) @ dH
+    dtv = np.add.reduceat(dH, lay.starts, axis=0)
+    grads["time_w"] += cache["feats"].T @ dtv
+    grads["time_b"] += dtv.sum(axis=0)
 
 
 def _loss_and_grad(params, batch, sched, lam):
-    """Mean loss over a batch of NoisySample (base = clean), plus gradients."""
+    """Mean loss over a batch of NoisySample (base = clean), plus gradients.
+
+    The batch runs in blocks of BLOCK_SAMPLES whole samples; each block is
+    one forward and one backward over the stacked samples.
+    """
     grads = params.zeros_like()
     total = 0.0
-    for noisy in batch:
-        p_x, p_e, cache = _forward(params, noisy, sched)
-        total += loss(p_x, p_e, noisy.base, lam)
-        _backward(params, cache, noisy.base, lam, grads)
+    blocks = [batch[lo:lo + BLOCK_SAMPLES] for lo in range(0, len(batch), BLOCK_SAMPLES)]
+    # one pair-head buffer for every block: freeing and re-allocating
+    # (pairs, 2h) arrays per block costs a page fault per 4 KB
+    work = np.empty((2, max(sum(s.e_t.size for s in b) for b in blocks), 2 * params.h))
+    for block in blocks:
+        p_x, p_e, cache = _forward(params, block, sched, work)
+        x_clean = np.concatenate([s.base.id_map for s in block])
+        e_clean = np.concatenate([s.base.edge_states() for s in block]).astype(np.int64)
+        total += _loss(p_x, p_e, x_clean, e_clean, lam)
+        del p_x, p_e
+        _backward(params, cache, x_clean, e_clean, lam, grads)
     inv = 1.0 / len(batch)
     for key in grads:
         grads[key] *= inv
@@ -256,6 +394,32 @@ def grad(params, batch, sched, lam):
     """Parameter-shaped gradient of the mean batch loss."""
     _, grads = _loss_and_grad(params, batch, sched, lam)
     return grads
+
+
+def _adam_update(param, g, m, v, lr, step):
+    """One Adam step on one tensor, in place; `g` is used as scratch.
+
+    Same operations in the same order as
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        param -= lr*(m/(1-b1**(step+1))) / (sqrt(v/(1-b2**(step+1))) + eps)
+    so the result is bit-identical to that out-of-place form.
+    """
+    b1c = 1.0 - ADAM_BETA1 ** (step + 1)
+    b2c = 1.0 - ADAM_BETA2 ** (step + 1)
+    buf = np.multiply(g, 1.0 - ADAM_BETA2)
+    buf *= g
+    v *= ADAM_BETA2
+    v += buf
+    g *= 1.0 - ADAM_BETA1
+    m *= ADAM_BETA1
+    m += g
+    np.divide(m, b1c, out=g)
+    g *= lr
+    np.divide(v, b2c, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += ADAM_EPS
+    g /= buf
+    param -= g
 
 
 def train(corpus, sched, cfg):
@@ -280,14 +444,9 @@ def train(corpus, sched, cfg):
         if not np.isfinite(loss_val):
             raise RuntimeError(f"non-finite loss {loss_val} at step {step}")
         trace[step] = loss_val
-        b1c = 1.0 - ADAM_BETA1 ** (step + 1)
-        b2c = 1.0 - ADAM_BETA2 ** (step + 1)
         for key in keys:
-            g = grads[key]
-            m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * g
-            v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * g * g
-            params.tensors[key] -= cfg.learning_rate * (m[key] / b1c) \
-                / (np.sqrt(v[key] / b2c) + ADAM_EPS)
+            _adam_update(params.tensors[key], grads[key], m[key], v[key],
+                         cfg.learning_rate, step)
     return params, trace
 
 

@@ -58,8 +58,11 @@ def _per_node_triangles(g):
     return t
 
 
-def count_triangles(g):
-    total = int(_per_node_triangles(g).sum())
+def count_triangles(g, per_node=None):
+    """Number of triangles; per_node is _per_node_triangles(g) if known."""
+    if per_node is None:
+        per_node = _per_node_triangles(g)
+    total = int(per_node.sum())
     assert total % 3 == 0
     return total // 3
 
@@ -75,20 +78,21 @@ def count_squares(g):
     return paired // 2
 
 
-def degree_stats(g):
+def degree_stats(g, per_node=None):
     """(max_degree, mean local clustering, degree assortativity).
 
     Clustering averages over non-isolated nodes, degree < 2 contributing 0;
     NaN when every node is isolated. Assortativity is the Pearson
     correlation of endpoint degrees over both edge orientations; NaN when
     either marginal has zero variance (e.g. regular graphs) or m = 0.
+    per_node is _per_node_triangles(g) if known.
     """
     deg = g.degrees
     max_degree = int(deg.max()) if g.n else 0
 
     active = deg > 0
     if active.any():
-        tri = _per_node_triangles(g)
+        tri = _per_node_triangles(g) if per_node is None else per_node
         possible = deg * (deg - 1) / 2.0
         local = np.zeros(g.n)
         two_plus = deg >= 2
@@ -139,7 +143,8 @@ def characteristic_path_length(g):
 
 def stats_report(g):
     nodes, edges = graph_summary(g)
-    max_degree, clustering, assort = degree_stats(g)
+    tri = _per_node_triangles(g)
+    max_degree, clustering, assort = degree_stats(g, tri)
     flags = []
     if math.isnan(clustering):
         flags.append("clustering_degenerate")
@@ -153,7 +158,7 @@ def stats_report(g):
     cpl = characteristic_path_length(g)
     if math.isnan(cpl):
         flags.append("cpl_degenerate")
-    return StatsReport(nodes, edges, count_triangles(g), count_squares(g),
+    return StatsReport(nodes, edges, count_triangles(g, tri), count_squares(g),
                        max_degree, clustering, assort, plaw, cpl, tuple(flags))
 
 

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from graphstitch.denoiser import (DenoiserParams, TrainConfig, grad, loss,
+import denoiser_oracle as oracle
+from graphstitch.denoiser import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_SAMPLES,
+                                  SAVE_CHUNK, DenoiserParams, TrainConfig, grad, loss,
                                   predict, train, write_loss_csv,
-                                  _loss_and_grad)
+                                  _adam_update, _loss_and_grad)
 from graphstitch.diffusion import build_schedule, forward_noise, NoisySample
 from graphstitch.errors import InvalidParameter
-from graphstitch.graphs import Graph
-from graphstitch.sampling import build_corpus, local_pairs
+from graphstitch.graphs import Graph, induced_subgraph
+from graphstitch.sampling import (SampleCorpus, SubgraphSample, build_corpus,
+                                  local_pairs)
+from graphstitch.sbm import sbm_graph
 
 
 def toy_setup(T=12, n=6, h=5, L=2, seed=0):
@@ -156,6 +162,78 @@ class TestGrad:
         assert not np.count_nonzero(g["edge_head_w2"])
 
 
+def mixed_size_batch():
+    """More than one block of samples with k = 1, 2, 12 and 20, including a
+    sample whose noisy pair states are all absent; heads moved off zero."""
+    g = sbm_graph([20, 20], 0.5, 0.1, seed=3)
+    rng = np.random.default_rng(4)
+    samples = []
+    for k in [1, 2, 12, 20] * ((BLOCK_SAMPLES + 3) // 4 + 1):
+        sub, ids = induced_subgraph(g, rng.choice(g.n, size=k, replace=False))
+        samples.append(SubgraphSample(sub, ids, g.n))
+    sched = build_schedule(20, SampleCorpus(samples, "Unif", k=20, d=None))
+    batch = [forward_noise(s, int(t), sched, seed=i)
+             for i, (s, t) in enumerate(zip(samples, rng.integers(1, 21, len(samples))))]
+    quiet = batch[3]
+    batch[3] = NoisySample(quiet.base, quiet.t, quiet.x_t, np.zeros_like(quiet.e_t))
+    params = DenoiserParams.init(g.n, 6, 2, seed=5)
+    for key, tensor in params.tensors.items():
+        tensor += rng.normal(0, 0.3, tensor.shape)
+    return params, batch, sched
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestBlockedMatchesOracle:
+    """The blocked forward/backward against the per-sample reference loop."""
+
+    def test_loss_and_grads(self):
+        params, batch, sched = mixed_size_batch()
+        assert len(batch) > BLOCK_SAMPLES
+        assert sum(s.k == 1 for s in batch) and sum(s.k == 2 for s in batch)
+        lam = 1.7
+        got_loss, got = _loss_and_grad(params, batch, sched, lam)
+        want_loss, want = oracle.loss_and_grad(params, batch, sched, lam)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.count_nonzero(want[key]), key
+            assert rel_err(got[key], want[key]) <= 1e-12, key
+
+    def test_predict(self):
+        params, batch, sched = mixed_size_batch()
+        for noisy in batch[:4]:
+            p_x, p_e = predict(params, noisy, sched)
+            q_x, q_e, _ = oracle.forward(params, noisy, sched)
+            assert p_x.shape == q_x.shape and p_e.shape == q_e.shape
+            assert rel_err(p_x, q_x) <= 1e-12
+            if q_e.size:
+                assert rel_err(p_e, q_e) <= 1e-12
+
+
+class TestAdam:
+    def test_in_place_update_is_bit_identical(self):
+        rng = np.random.default_rng(0)
+        shape = (7, 5)
+        p_ref = rng.normal(size=shape)
+        m_ref = np.zeros(shape)
+        v_ref = np.zeros(shape)
+        p, m, v = p_ref.copy(), m_ref.copy(), v_ref.copy()
+        lr = 3e-3
+        for step in range(6):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3)
+            b1c = 1.0 - ADAM_BETA1 ** (step + 1)
+            b2c = 1.0 - ADAM_BETA2 ** (step + 1)
+            m_ref = ADAM_BETA1 * m_ref + (1.0 - ADAM_BETA1) * g
+            v_ref = ADAM_BETA2 * v_ref + (1.0 - ADAM_BETA2) * g * g
+            p_ref = p_ref - lr * (m_ref / b1c) / (np.sqrt(v_ref / b2c) + ADAM_EPS)
+            _adam_update(p, g.copy(), m, v, lr, step)
+            assert np.array_equal(p, p_ref)
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
+
+
 class TestTrain:
     def test_zero_steps_returns_init(self):
         corpus, sched, _ = toy_setup()
@@ -212,6 +290,27 @@ class TestCheckpoint:
         params.save(a)
         DenoiserParams.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_save_bytes_match_json_dump(self, tmp_path):
+        # node_embed spans more than one SAVE_CHUNK
+        params = DenoiserParams.init(SAVE_CHUNK // 3 + 5, 3, 1, seed=0)
+        assert params.tensors["node_embed"].size > SAVE_CHUNK
+        awkward = np.array([-1.5, 5e-324, -2.2e-308, 1e-300, 2.0, -0.0, 0.0,
+                            1e16, 123456789.0, 0.1, -7.0, 1.7976931348623157e308])
+        for key, tensor in params.tensors.items():
+            flat = tensor.ravel()
+            flat[:] = np.resize(awkward, flat.size)
+        path = tmp_path / "ckpt.json"
+        params.save(path)
+        obj = {"version": 1, "n": params.n, "h": params.h, "L": params.L,
+               "time_dim": params.time_dim,
+               "tensors": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+                           for k, v in params.tensors.items()}}
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"

@@ -223,6 +223,16 @@ class TestStatsReport:
         d = rep.to_dict()
         assert d["cpl"] == rep.cpl
 
+    def test_matches_standalone_calls(self):
+        # stats_report shares one per-node triangle count between both
+        for seed in range(3):
+            g = random_graph(30, 0.2, seed)
+            rep = stats_report(g)
+            max_degree, clustering, assort = degree_stats(g)
+            assert rep.triangles == count_triangles(g)
+            assert (rep.max_degree, rep.clustering, rep.assortativity) == \
+                (max_degree, clustering, assort)
+
     def test_flags_on_degenerate(self):
         rep = stats_report(Graph(4))
         assert "assortativity_degenerate" in rep.flags
