@@ -22,8 +22,6 @@ def _add_common(p):
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--seed", type=int, help="root RNG seed (overrides config)")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--threads", type=int,
-                   help="accepted for compatibility; computation is single-threaded")
 
 
 def build_parser():
@@ -90,7 +88,7 @@ def build_parser():
 def _build_config(args):
     cfg = pipeline.load_config(args.config) if args.config \
         else pipeline.PipelineConfig()
-    for name in ("seed", "out", "threads", "dataset", "scheme", "k", "d",
+    for name in ("seed", "out", "dataset", "scheme", "k", "d",
                  "count", "delta"):
         val = getattr(args, name, None)
         if val is not None:

@@ -140,7 +140,9 @@ def build_schedule(T, corpus, s=COSINE_OFFSET):
     alpha = ab[1:] / ab[:-1]
     m_x, m_e = corpus_marginals(corpus)
     sched = NoiseSchedule(T, alpha, ab, m_x, m_e)
-    assert sched.alpha_bar[T] <= 1e-4, "terminal distribution not mixed"
+    if not sched.alpha_bar[T] <= 1e-4:
+        raise InvalidParameter(
+            f"terminal distribution not mixed: alpha_bar[T] = {sched.alpha_bar[T]:.3g} > 1e-4")
     return sched
 
 

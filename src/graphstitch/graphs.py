@@ -68,6 +68,15 @@ class Graph:
         """Sorted neighbor IDs of u (a view; do not mutate)."""
         return self._nbrs[self._indptr[u]:self._indptr[u + 1]]
 
+    def neighbors_of(self, nodes):
+        """Concatenated sorted neighbor slices of `nodes`, in their order."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self._indptr[nodes]
+        counts = self._indptr[nodes + 1] - starts
+        # position of each gathered entry: its row start plus its offset
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return self._nbrs[shift + np.arange(shift.size)]
+
     def has_edge(self, u, v):
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
@@ -196,56 +205,80 @@ def save_edge_list(g, path):
             fh.write(f"{u} {v}\n")
 
 
+def _node_set(g, nodes):
+    """`nodes` as a sorted int64 array; InvalidNodeSet if empty, duplicated
+    or out of range."""
+    s = np.array(nodes, dtype=np.int64).ravel()
+    if s.size == 0:
+        raise InvalidNodeSet("node set must be non-empty")
+    if not (s[1:] > s[:-1]).all():  # strictly increasing needs no sort
+        uniq = np.unique(s)
+        if uniq.size != s.size:
+            raise InvalidNodeSet("node set contains duplicates")
+        s = uniq
+    if s[0] < 0 or s[-1] >= g.n:
+        raise InvalidNodeSet("node set member out of range")
+    return s
+
+
+def _induced_pairs(g, s):
+    """Local (row, col) pairs, both directions, of the subgraph induced on
+    the sorted node set s, in CSR order (rows ascending, then cols)."""
+    nb = g.neighbors_of(s)
+    counts = g._indptr[s + 1] - g._indptr[s]
+    rows = np.repeat(np.arange(s.size, dtype=np.int64), counts)
+    # a position table costs O(n) to fill, so it pays only once the gather is
+    # that long; below that, bisection keeps small sets on big graphs cheap
+    if nb.size >= g.n:
+        pos = np.full(g.n, -1, dtype=np.int64)
+        pos[s] = np.arange(s.size)
+        pos = pos[nb]
+        ok = pos >= 0
+    else:
+        pos = np.searchsorted(s, nb)
+        pos[pos == s.size] = 0
+        ok = s[pos] == nb
+    # integer indices: a boolean mask this irregular gathers several times slower
+    ok = np.flatnonzero(ok)
+    return rows[ok], pos[ok]
+
+
 def induced_subgraph(g, nodes):
     """Subgraph induced by `nodes`, relabeled to 0..k-1.
 
     Returns (sub, id_map) with id_map sorted ascending so that
     sub node i corresponds to g node id_map[i].
     """
-    s = np.asarray(nodes, dtype=np.int64).ravel()
-    if s.size == 0:
-        raise InvalidNodeSet("node set must be non-empty")
-    uniq = np.unique(s)
-    if uniq.size != s.size:
-        raise InvalidNodeSet("node set contains duplicates")
-    s = uniq
-    if s[0] < 0 or s[-1] >= g.n:
-        raise InvalidNodeSet("node set member out of range")
+    s = _node_set(g, nodes)
+    rows, cols = _induced_pairs(g, s)
+    upper = rows < cols
+    return Graph(int(s.size), np.column_stack([rows[upper], cols[upper]])), s
 
-    src = []
-    dst = []
-    for i, u in enumerate(s.tolist()):
-        nb = g.neighbors(u)
-        nb = nb[nb > u]
-        if nb.size == 0:
-            continue
-        pos = np.searchsorted(s, nb)
-        pos = np.minimum(pos, s.size - 1)
-        ok = s[pos] == nb
-        if ok.any():
-            js = pos[ok]
-            src.append(np.full(js.size, i, dtype=np.int64))
-            dst.append(js)
-    if src:
-        edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
+
+def largest_connected_component(g, nodes=None):
+    """Sorted node IDs of the largest component of the subgraph induced on
+    `nodes` (default: all of g); ties break to the one containing the
+    smallest node ID."""
+    if nodes is None:
+        if g.n < 1:
+            raise ValueError("graph must have at least one node")
+        s = np.arange(g.n, dtype=np.int64)
     else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return Graph(int(s.size), edges), s.copy()
-
-
-def largest_connected_component(g):
-    """Sorted node IDs of the largest component; ties break to the one
-    containing the smallest node ID."""
-    if g.n < 1:
-        raise ValueError("graph must have at least one node")
-    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
+        s = _node_set(g, nodes)
+    rows, cols = _induced_pairs(g, s)
+    indptr = np.zeros(s.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=s.size), out=indptr[1:])
+    # float64 data and int32 indices are what csgraph works on, so scipy
+    # makes no converted copies
+    adj = sp.csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr),
+                        shape=(s.size, s.size))
+    # adj is symmetric, so its strong components are the undirected ones;
+    # the undirected mode would also build the transpose
+    _, labels = csgraph.connected_components(adj, directed=True, connection="strong")
     sizes = np.bincount(labels)
-    best = sizes.max()
-    cand = np.flatnonzero(sizes == best)
-    # first occurrence index of a label equals its smallest member
-    _, first = np.unique(labels, return_index=True)
-    label = cand[np.argmin(first[cand])]
-    return np.flatnonzero(labels == label).astype(np.int64)
+    # the first node in a largest component is the smallest ID of any of them
+    label = labels[np.argmax(sizes[labels] == sizes.max())]
+    return s[labels == label]
 
 
 def is_connected(g):

@@ -63,7 +63,8 @@ def count_triangles(g, per_node=None):
     if per_node is None:
         per_node = _per_node_triangles(g)
     total = int(per_node.sum())
-    assert total % 3 == 0
+    if total % 3:
+        raise RuntimeError(f"per-node triangle counts sum to {total}, not a multiple of 3")
     return total // 3
 
 
@@ -74,7 +75,8 @@ def count_squares(g):
     A = g.to_csr().astype(np.int64)
     codeg = sp.triu(A @ A, k=1).tocoo().data
     paired = int((codeg * (codeg - 1) // 2).sum())
-    assert paired % 2 == 0
+    if paired % 2:
+        raise RuntimeError(f"codegree pair count {paired} is odd; each 4-cycle counts twice")
     return paired // 2
 
 

@@ -65,7 +65,6 @@ class PipelineConfig:
     fractions: tuple = DEFAULT_FRACTIONS
     seed: int = 0
     out: str = "out"
-    threads: int = 1  # accepted for interface compatibility; advisory only
 
     def validate(self):
         if self.k < 1 or self.d < 1 or self.T < 1:
@@ -74,8 +73,6 @@ class PipelineConfig:
             raise ConfigError("delta must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         dn = self.denoiser
         if dn.steps < 0 or dn.batch < 1 or dn.h < 1 or dn.L < 1:
             raise ConfigError("denoiser steps/batch/h/L out of range")

@@ -8,7 +8,7 @@ trained on the corpus can later be stitched back into a full graph.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,8 @@ class SubgraphSample:
     local: Graph
     id_map: np.ndarray  # sorted original IDs, len == local.n
     n_parent: int
+    _edge_states: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.local.n != len(self.id_map):
@@ -47,13 +49,18 @@ class SubgraphSample:
         return self.local.n
 
     def edge_states(self):
-        """0/1 state per local (i, j) pair in local_pairs order."""
-        k = self.local.n
-        iu, ju = local_pairs(k)
-        adj = np.zeros((k, k), dtype=bool)
-        ea = self.local.edge_array
-        adj[ea[:, 0], ea[:, 1]] = True
-        return adj[iu, ju].astype(np.int8)
+        """0/1 state per local (i, j) pair in local_pairs order (cached,
+        read-only)."""
+        if self._edge_states is None:
+            k = self.local.n
+            iu, ju = local_pairs(k)
+            adj = np.zeros((k, k), dtype=bool)
+            ea = self.local.edge_array
+            adj[ea[:, 0], ea[:, 1]] = True
+            states = adj[iu, ju].astype(np.int8)
+            states.setflags(write=False)
+            self._edge_states = states
+        return self._edge_states
 
 
 @dataclass
@@ -138,10 +145,7 @@ def sample_random_walk(g, k, d, seed=0):
 def two_hop_neighborhood(g, v):
     """Sorted node IDs of the closed 2-hop neighborhood of v."""
     n1 = g.neighbors(v)
-    parts = [np.array([v], dtype=np.int64), n1]
-    for u in n1.tolist():
-        parts.append(g.neighbors(u))
-    return np.unique(np.concatenate(parts))
+    return np.unique(np.concatenate([[v], n1, g.neighbors_of(n1)]))
 
 
 def sample_ego(g, k, d, seed=0):
@@ -151,6 +155,8 @@ def sample_ego(g, k, d, seed=0):
     nodes, delete floor(|V|/2) uniformly chosen nodes and keep the largest
     connected component of what remains. Output is always connected and
     has at most k nodes (or is the full 2-hop set when already small).
+    Each halving labels components straight off g's neighbor lists; only
+    the kept node set becomes a Graph.
     """
     if k < 1:
         raise InvalidParameter("k must be >= 1")
@@ -163,9 +169,7 @@ def sample_ego(g, k, d, seed=0):
             nodes = two_hop_neighborhood(g, v)
             while nodes.size > k:
                 drop = rng.choice(nodes.size, size=nodes.size // 2, replace=False)
-                keep = np.delete(nodes, drop)
-                sub, id_map = induced_subgraph(g, keep)
-                nodes = id_map[largest_connected_component(sub)]
+                nodes = largest_connected_component(g, np.delete(nodes, drop))
             sub, id_map = induced_subgraph(g, nodes)
             samples.append(SubgraphSample(sub, id_map, g.n))
     return SampleCorpus(samples, "Ego", k, d)

@@ -73,6 +73,13 @@ class TestSchedule:
         back.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
+    def test_unmixed_terminal_raises(self, monkeypatch):
+        # an exception, not an assert, so it also holds under python -O
+        monkeypatch.setattr("graphstitch.diffusion.cosine_alpha_bar",
+                            lambda T, s: np.linspace(1.0, 0.5, T + 1))
+        with pytest.raises(InvalidParameter, match="alpha_bar\\[T\\]"):
+            build_schedule(10, toy_corpus())
+
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             build_schedule(0, toy_corpus())

@@ -1,0 +1,146 @@
+"""Gather-based induced subgraphs, components and Ego corpora against the
+per-node and Graph-per-round kernels in graph_oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import graph_oracle as oracle
+from graphstitch.errors import InvalidNodeSet
+from graphstitch.graphs import Graph, induced_subgraph, largest_connected_component
+from graphstitch.sampling import build_corpus, two_hop_neighborhood, write_corpus_jsonl
+from graphstitch.sbm import sbm_graph
+
+
+def star(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def chung_lu_like(n, mean_degree, exponent, seed):
+    """Heavy-tailed graph: pair (i, j) is an edge with prob min(1, w_i w_j / W)
+    for power-law weights w, labels shuffled so hubs are not the low IDs."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))
+    w *= mean_degree * n / w.sum()
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < np.minimum(1.0, w[iu] * w[ju] / w.sum())
+    label = rng.permutation(n)
+    return Graph(n, np.column_stack([label[iu[keep]], label[ju[keep]]]))
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 24))
+    if n == 1:
+        return Graph(1)
+    iu, ju = np.triu_indices(n, k=1)
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    keep = np.random.default_rng(seed).random(iu.size) < p
+    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
+
+
+graphs = st.one_of(
+    random_graphs(),
+    st.integers(0, 30).map(star),
+    st.integers(0, 10**6).map(lambda seed: chung_lu_like(60, 4.0, 2.2, seed)),
+)
+
+
+@st.composite
+def graph_and_nodes(draw):
+    g = draw(graphs)
+    nodes = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n,
+                          unique=True))
+    return g, nodes
+
+
+check = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestInducedSubgraph:
+    @check
+    @given(graph_and_nodes())
+    def test_matches_oracle(self, case):
+        g, nodes = case
+        sub, id_map = induced_subgraph(g, nodes)
+        want_sub, want_ids = oracle.induced_subgraph(g, nodes)
+        assert sub == want_sub
+        assert id_map.dtype == want_ids.dtype and np.array_equal(id_map, want_ids)
+
+    def test_whole_graph_is_identity(self):
+        g = chung_lu_like(80, 5.0, 2.3, seed=3)
+        sub, id_map = induced_subgraph(g, np.arange(g.n)[::-1])
+        assert sub == g and id_map.tolist() == list(range(g.n))
+
+    def test_singleton_and_isolated(self):
+        g = Graph(5, [(0, 1)])
+        for nodes in ([3], [0], [2, 3, 4]):
+            sub, id_map = induced_subgraph(g, nodes)
+            assert sub.num_edges == 0 and id_map.tolist() == sorted(nodes)
+
+
+class TestLargestComponent:
+    @check
+    @given(graph_and_nodes())
+    def test_subset_matches_oracle(self, case):
+        g, nodes = case
+        got = largest_connected_component(g, nodes)
+        want = oracle.induced_lcc(g, nodes)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @check
+    @given(graphs)
+    def test_whole_graph_matches_oracle(self, g):
+        got = largest_connected_component(g)
+        want = oracle.largest_connected_component(g)
+        assert np.array_equal(got, want)
+        shuffled = np.random.default_rng(g.n).permutation(g.n)
+        assert np.array_equal(largest_connected_component(g, shuffled), want)
+
+    def test_disconnected_set_ties_to_smallest_id(self):
+        # {4, 5} and {1, 2} are both size 2 once 3 is left out
+        g = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (0, 6)])
+        assert largest_connected_component(g, [5, 4, 2, 1]).tolist() == [1, 2]
+        assert largest_connected_component(g, [6, 5, 3]).tolist() == [3]
+
+    def test_empty_graph(self):
+        with pytest.raises(ValueError):
+            largest_connected_component(Graph(0))
+
+
+class TestInvalidNodeSet:
+    @pytest.mark.parametrize("nodes", [[], [1, 1], [0, 4], [-1, 2]])
+    def test_raises(self, nodes):
+        g = Graph(4, [(0, 1)])
+        with pytest.raises(InvalidNodeSet):
+            induced_subgraph(g, nodes)
+        with pytest.raises(InvalidNodeSet):
+            largest_connected_component(g, nodes)
+
+
+@check
+@given(graphs, st.data())
+def test_two_hop_matches_oracle(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    assert np.array_equal(two_hop_neighborhood(g, v), oracle.two_hop_neighborhood(g, v))
+
+
+def corpus_bytes(corpus, path):
+    write_corpus_jsonl(corpus, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("g, k, d", [
+    (sbm_graph([24, 24, 24, 24], 0.8, 0.1, seed=1), 12, 2),
+    (chung_lu_like(300, 6.0, 2.3, seed=5), 10, 1),
+], ids=["dense-sbm", "heavy-tailed"])
+def test_ego_corpus_byte_identical_to_oracle(tmp_path, g, k, d):
+    got = build_corpus(g, "Ego", k, d, seed=7)
+    want = oracle.build_ego_corpus(g, k, d, seed=7)
+    assert corpus_bytes(got, tmp_path / "got.jsonl") == \
+        corpus_bytes(want, tmp_path / "want.jsonl")
+    # the halving loop actually ran: some 2-hop balls were above k
+    assert max(two_hop_neighborhood(g, v).size for v in range(g.n)) > 2 * k

@@ -118,6 +118,11 @@ class TestTriangles:
             g = random_graph(11, 0.35, seed)
             assert count_triangles(g) == triangles_oracle(g)
 
+    def test_inconsistent_per_node_raises(self):
+        g = complete_graph(3)
+        with pytest.raises(RuntimeError, match="multiple of 3"):
+            count_triangles(g, per_node=np.array([1, 1, 0]))
+
 
 class TestSquares:
     def test_known_shapes(self):

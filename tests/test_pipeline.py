@@ -54,6 +54,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             pipeline.load_config(p)
 
+    def test_threads_key_removed(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"threads": 2}))
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            pipeline.load_config(p)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sample", "--threads", "2"])
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             pipeline.config_from_obj({"k": 0})

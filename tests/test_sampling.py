@@ -182,6 +182,15 @@ class TestSerialization:
         assert 0.0 <= stats["edge_density"] <= 1.0
 
 
+def test_edge_states_cached_read_only():
+    g = Graph(4, [(0, 1), (1, 3), (2, 3)])
+    s = sample_uniform(g, k=4, count=1, seed=0)[0]
+    states = s.edge_states()
+    assert states.tolist() == [1, 0, 0, 0, 1, 1]
+    assert states.dtype == np.int8 and not states.flags.writeable
+    assert s.edge_states() is states
+
+
 def test_local_pairs_order():
     iu, ju = local_pairs(4)
     assert list(zip(iu.tolist(), ju.tolist())) == [
