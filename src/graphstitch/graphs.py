@@ -68,14 +68,15 @@ class Graph:
         """Sorted neighbor IDs of u (a view; do not mutate)."""
         return self._nbrs[self._indptr[u]:self._indptr[u + 1]]
 
-    def neighbors_of(self, nodes):
-        """Concatenated sorted neighbor slices of `nodes`, in their order."""
+    def neighbor_slices(self, nodes):
+        """Concatenated sorted neighbor slices of `nodes`, in their order,
+        and the length of each slice."""
         nodes = np.asarray(nodes, dtype=np.int64)
         starts = self._indptr[nodes]
         counts = self._indptr[nodes + 1] - starts
         # position of each gathered entry: its row start plus its offset
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return self._nbrs[shift + np.arange(shift.size)]
+        return self._nbrs[shift + np.arange(shift.size)], counts
 
     def has_edge(self, u, v):
         nb = self.neighbors(u)
@@ -208,14 +209,13 @@ def save_edge_list(g, path):
 def _node_set(g, nodes):
     """`nodes` as a sorted int64 array; InvalidNodeSet if empty, duplicated
     or out of range."""
-    s = np.array(nodes, dtype=np.int64).ravel()
+    s = np.asarray(nodes, dtype=np.int64).ravel()
     if s.size == 0:
         raise InvalidNodeSet("node set must be non-empty")
-    if not (s[1:] > s[:-1]).all():  # strictly increasing needs no sort
-        uniq = np.unique(s)
-        if uniq.size != s.size:
-            raise InvalidNodeSet("node set contains duplicates")
-        s = uniq
+    uniq = np.unique(s)
+    if uniq.size != s.size:
+        raise InvalidNodeSet("node set contains duplicates")
+    s = uniq
     if s[0] < 0 or s[-1] >= g.n:
         raise InvalidNodeSet("node set member out of range")
     return s
@@ -224,22 +224,14 @@ def _node_set(g, nodes):
 def _induced_pairs(g, s):
     """Local (row, col) pairs, both directions, of the subgraph induced on
     the sorted node set s, in CSR order (rows ascending, then cols)."""
-    nb = g.neighbors_of(s)
-    counts = g._indptr[s + 1] - g._indptr[s]
+    nb, counts = g.neighbor_slices(s)
     rows = np.repeat(np.arange(s.size, dtype=np.int64), counts)
-    # a position table costs O(n) to fill, so it pays only once the gather is
-    # that long; below that, bisection keeps small sets on big graphs cheap
-    if nb.size >= g.n:
-        pos = np.full(g.n, -1, dtype=np.int64)
-        pos[s] = np.arange(s.size)
-        pos = pos[nb]
-        ok = pos >= 0
-    else:
-        pos = np.searchsorted(s, nb)
-        pos[pos == s.size] = 0
-        ok = s[pos] == nb
+    # local index of every parent node, -1 outside s (O(n) to fill per call)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[s] = np.arange(s.size)
+    pos = pos[nb]
     # integer indices: a boolean mask this irregular gathers several times slower
-    ok = np.flatnonzero(ok)
+    ok = np.flatnonzero(pos >= 0)
     return rows[ok], pos[ok]
 
 

@@ -145,7 +145,8 @@ def sample_random_walk(g, k, d, seed=0):
 def two_hop_neighborhood(g, v):
     """Sorted node IDs of the closed 2-hop neighborhood of v."""
     n1 = g.neighbors(v)
-    return np.unique(np.concatenate([[v], n1, g.neighbors_of(n1)]))
+    n2, _ = g.neighbor_slices(n1)
+    return np.unique(np.concatenate([[v], n1, n2]))
 
 
 def sample_ego(g, k, d, seed=0):
