@@ -1,20 +1,20 @@
 """Stitch generated subgraphs into one synthetic graph by edge union.
 
 Subgraphs come out of the reverse diffusion chain carrying original node
-IDs, so assembly is just set union over translated edges: keep generating
-until the union reaches the target edge count, always inserting the whole
-final subgraph (bounded overshoot), and abort if a long run of subgraphs
-contributes nothing new.
+IDs, so assembly is just set union over the pair codes of translated edges:
+keep generating until the union reaches the target edge count, always
+inserting the whole final subgraph (bounded overshoot), and abort if a long
+run of subgraphs contributes nothing new.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import prior_sample, reverse_step
 from .denoiser import predict
 from .errors import InvalidParameter, StalledAssembly
-from .graphs import Graph
+from .graphs import Graph, decode_pairs, pair_codes
 from .rng import as_generator, substream
 from .sampling import SubgraphSample, local_pairs
 
@@ -23,19 +23,11 @@ STALL_LIMIT = 50
 
 @dataclass
 class SynthAccumulator:
-    """Running state of an assembly pass."""
+    """Counters of an assembly pass."""
 
-    n: int
-    edge_set: set = field(default_factory=set)
     subgraphs_used: int = 0
+    num_edges: int = 0
     overshoot: int = 0
-
-    @property
-    def num_edges(self):
-        return len(self.edge_set)
-
-    def to_graph(self):
-        return Graph(self.n, sorted(self.edge_set))
 
 
 def generate_subgraph(params, sched, k, seed):
@@ -67,12 +59,13 @@ def generate_subgraph(params, sched, k, seed):
 def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
     """Generate-and-union until the last threshold is reached.
 
-    Returns (snapshots, acc): one edge-set snapshot per threshold, taken
-    the first time the union size crosses it (a single subgraph may cross
-    several). Raises StalledAssembly after `stall_limit` consecutive
-    subgraphs that add no new edge.
+    Returns (snapshots, acc): one sorted int64 array of the union's pair
+    codes per threshold, taken the first time the union size crosses it (a
+    single subgraph may cross several). Raises StalledAssembly after
+    `stall_limit` consecutive subgraphs that add no new edge.
     """
-    acc = SynthAccumulator(n)
+    acc = SynthAccumulator()
+    union = set()  # Python ints: an insert costs the subgraph, not the union
     snapshots = []
     pending = list(thresholds)
     streak = 0
@@ -80,11 +73,11 @@ def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
         sub = make_subgraph(acc.subgraphs_used)
         acc.subgraphs_used += 1
         ea = sub.id_map[sub.local.edge_array]
-        before = acc.num_edges
-        acc.edge_set.update(zip(ea[:, 0].tolist(), ea[:, 1].tolist()))
-        streak = 0 if acc.num_edges > before else streak + 1
+        union.update(pair_codes(ea[:, 0], ea[:, 1], n).tolist())
+        streak = 0 if len(union) > acc.num_edges else streak + 1
+        acc.num_edges = len(union)
         while pending and acc.num_edges >= pending[0]:
-            snapshots.append(frozenset(acc.edge_set))
+            snapshots.append(np.sort(np.fromiter(union, np.int64, len(union))))
             pending.pop(0)
         if pending and streak >= stall_limit:
             raise StalledAssembly(
@@ -96,6 +89,16 @@ def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
     return snapshots, acc
 
 
+def _assemble(params, sched, thresholds, k, seed, stall_limit):
+    """One assembly pass of generated subgraphs: a Graph per threshold and
+    the pass's counters."""
+    def make(i):
+        return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
+
+    snapshots, acc = _union_loop(make, params.n, thresholds, stall_limit)
+    return [Graph(params.n, decode_pairs(c, params.n)) for c in snapshots], acc
+
+
 def assemble(params, sched, target_edges, k, seed, stall_limit=STALL_LIMIT):
     """Union generated subgraphs until >= target_edges; returns (Graph, acc).
 
@@ -104,12 +107,8 @@ def assemble(params, sched, target_edges, k, seed, stall_limit=STALL_LIMIT):
     """
     if target_edges < 1:
         raise InvalidParameter("target_edges must be >= 1")
-
-    def make(i):
-        return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
-
-    _, acc = _union_loop(make, params.n, [target_edges], stall_limit)
-    return acc.to_graph(), acc
+    graphs, acc = _assemble(params, sched, [target_edges], k, seed, stall_limit)
+    return graphs[0], acc
 
 
 def progressive_assemble(params, sched, fractions, total_edges, k, seed,
@@ -127,9 +126,5 @@ def progressive_assemble(params, sched, fractions, total_edges, k, seed,
     if total_edges < 1:
         raise InvalidParameter("total_edges must be >= 1")
     thresholds = [max(1, int(np.ceil(f * total_edges))) for f in fr]
-
-    def make(i):
-        return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
-
-    snapshots, _ = _union_loop(make, params.n, thresholds, stall_limit)
-    return [(f, Graph(params.n, sorted(s))) for f, s in zip(fr, snapshots)]
+    graphs, _ = _assemble(params, sched, thresholds, k, seed, stall_limit)
+    return list(zip(fr, graphs))

@@ -88,33 +88,21 @@ def build_parser():
 def _build_config(args):
     cfg = pipeline.load_config(args.config) if args.config \
         else pipeline.PipelineConfig()
-    for name in ("seed", "out", "dataset", "scheme", "k", "d",
-                 "count", "delta"):
-        val = getattr(args, name, None)
+    # argparse dest -> (config section, field); None is the top level
+    table = {dest: (None, dest) for dest in ("seed", "out", "dataset", "scheme",
+                                             "k", "d", "count", "delta", "T")}
+    table.update(
+        steps=("denoiser", "steps"), batch=("denoiser", "batch"),
+        lam=("denoiser", "lam"), h=("denoiser", "h"),
+        lr=("denoiser", "learning_rate"), layers=("denoiser", "L"),
+        target_fraction=("assembly", "target_fraction"),
+        target_edges=("assembly", "target_edges"), k_gen=("assembly", "k_gen"),
+        fraction=("eval", "fraction"), embed_dim=("eval", "h"),
+        epochs=("eval", "epochs"), embed_lr=("eval", "learning_rate"))
+    for dest, (section, name) in table.items():
+        val = getattr(args, dest, None)
         if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "T", None) is not None:
-        cfg.T = args.T
-    for name in ("steps", "batch", "lam", "h"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg.denoiser, name, val)
-    if getattr(args, "lr", None) is not None and args.command == "train":
-        cfg.denoiser.learning_rate = args.lr
-    if getattr(args, "layers", None) is not None:
-        cfg.denoiser.L = args.layers
-    for name in ("target_fraction", "target_edges", "k_gen"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg.assembly, name, val)
-    if getattr(args, "fraction", None) is not None:
-        cfg.eval.fraction = args.fraction
-    if getattr(args, "embed_dim", None) is not None:
-        cfg.eval.h = args.embed_dim
-    if getattr(args, "epochs", None) is not None:
-        cfg.eval.epochs = args.epochs
-    if getattr(args, "embed_lr", None) is not None:
-        cfg.eval.learning_rate = args.embed_lr
+            setattr(getattr(cfg, section) if section else cfg, name, val)
     if getattr(args, "fractions", None) is not None:
         try:
             cfg.fractions = tuple(float(f) for f in args.fractions.split(","))

@@ -4,7 +4,8 @@ One representation serves the whole pipeline: the observed graph, every
 sampled patch, and the synthetic output are all a node count plus a
 canonical (min,max)-ordered duplicate-free edge array. Neighbor lists are
 built once at construction as CSR-style arrays; everything downstream
-(samplers, metric kernels, BFS) works off slices of those.
+(samplers, metric kernels, BFS) works off slices of those. Elsewhere an edge
+is its int64 pair code (`pair_codes`); every Graph keeps its sorted codes.
 """
 
 from dataclasses import dataclass
@@ -16,10 +17,23 @@ from scipy.sparse import csgraph
 from .errors import InvalidNodeSet, ParseError
 
 
+def pair_codes(u, v, n):
+    """int64 code min(u, v) * n + max(u, v) of each pair (u[i], v[i]) of
+    int64 node IDs on n nodes; codes ascend as (min, max) rows would sort."""
+    # n <= ~1e6 keeps the codes comfortably inside int64
+    return np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+
+
+def decode_pairs(codes, n):
+    """(min, max) rows of pair codes on n nodes: the inverse of pair_codes."""
+    return np.column_stack([codes // n, codes % n])
+
+
 class Graph:
     """Immutable undirected simple graph on nodes 0..n-1.
 
-    Edges are deduplicated and stored sorted as (u, v) with u < v.
+    Edges are deduplicated and stored sorted as (u, v) with u < v; the same
+    edges as sorted, unique pair codes are the read-only `edge_codes`.
     Self-loops are rejected; drop them before construction.
     """
 
@@ -31,21 +45,16 @@ class Graph:
         if isinstance(edges, np.ndarray):
             arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
         else:
-            listed = [tuple(e) for e in edges]
-            arr = np.array(listed, dtype=np.int64).reshape(-1, 2)
+            arr = np.array([tuple(e) for e in edges], dtype=np.int64).reshape(-1, 2)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if (arr[:, 0] == arr[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-            lo = arr.min(axis=1)
-            hi = arr.max(axis=1)
-            # n <= ~1e6 keeps lo*n+hi comfortably inside int64
-            codes = np.unique(lo * np.int64(n) + hi)
-            arr = np.column_stack([codes // n, codes % n])
-        else:
-            arr = np.empty((0, 2), dtype=np.int64)
-        self.edge_array = arr
+        codes = np.unique(pair_codes(arr[:, 0], arr[:, 1], n))
+        codes.flags.writeable = False
+        self.edge_codes = codes
+        self.edge_array = arr = decode_pairs(codes, n)
         self.num_edges = int(arr.shape[0])
 
         rows = np.concatenate([arr[:, 0], arr[:, 1]])
@@ -182,15 +191,8 @@ def load_edge_list(lines, relabel=False):
                 raise ParseError(f"header n={header_n} smaller than max node ID {max_id}")
             n = header_n
 
-    if pairs.size:
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        m_unique = np.unique(lo * np.int64(max(n, 1)) + hi).size
-    else:
-        m_unique = 0
-    dupes = pairs.shape[0] - m_unique
-
-    return Graph(n, pairs), LoadReport(self_loops, dupes, id_map)
+    g = Graph(n, pairs)
+    return g, LoadReport(self_loops, pairs.shape[0] - g.num_edges, id_map)
 
 
 def load_edge_list_file(path, relabel=False):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NegativeSamplingExhausted
+from .graphs import decode_pairs, pair_codes
 from .rng import substream
 
 MAX_NEGATIVE_DRAWS = 1_000_000
@@ -34,30 +35,29 @@ class EmbeddingModel:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def _sample_non_edges(g, count, rng, exclude=(), budget=MAX_NEGATIVE_DRAWS):
-    """`count` distinct node pairs that are not edges of g (batched rejection)."""
-    forbidden = set(g.edge_set()) | set(exclude)
-    chosen = []
-    seen = set()
+def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
+    """`count` distinct node pairs that are not edges of g (batched rejection).
+
+    Pairs come in draw order: a batch drops self-pairs, repeats within it
+    (the first draw wins), edges of g and pairs chosen in earlier batches.
+    """
+    chosen = np.empty(0, dtype=np.int64)
     draws = 0
-    while len(chosen) < count:
+    while chosen.size < count:
         if draws >= budget:
             raise NegativeSamplingExhausted(
                 f"drew {draws} candidate pairs for {count} non-edges; graph too dense")
         batch = min(4096, budget - draws)
         cand = rng.integers(0, g.n, size=(batch, 2))
         draws += batch
-        for u, v in cand.tolist():
-            if u == v:
-                continue
-            pair = (u, v) if u < v else (v, u)
-            if pair in forbidden or pair in seen:
-                continue
-            seen.add(pair)
-            chosen.append(pair)
-            if len(chosen) == count:
-                break
-    return np.array(chosen, dtype=np.int64)
+        codes = pair_codes(cand[:, 0], cand[:, 1], g.n)
+        first = np.sort(np.unique(codes, return_index=True)[1])
+        codes = codes[first]
+        # edge codes and earlier choices are disjoint, and both are unique
+        taken = np.concatenate([g.edge_codes, chosen])
+        keep = (cand[first, 0] != cand[first, 1]) & ~np.isin(codes, taken, assume_unique=True)
+        chosen = np.concatenate([chosen, codes[keep][:count - chosen.size]])
+    return decode_pairs(chosen, g.n)
 
 
 def build_eval_set(real, fraction, seed):

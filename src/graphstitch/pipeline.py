@@ -9,7 +9,8 @@ seed): re-running produces byte-identical files.
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -88,30 +89,39 @@ class PipelineConfig:
 _ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
 
 
+def _type_ok(typ, val):
+    """Whether a JSON value fits a field annotation: ints pass for floats,
+    bools only for bools."""
+    allowed = (get_args(typ) or (typ,)) + ((int,) if typ is float else ())
+    return isinstance(val, allowed) and (bool in allowed or not isinstance(val, bool))
+
+
 def _fill(cls, obj, where):
-    names = {f.name for f in fields(cls)}
+    """cls from a JSON object; a field that is itself a section recurses."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where!r} must be an object, got {obj!r}")
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, val in obj.items():
         name = _ALIASES.get(key, key)
-        if name not in names:
+        if name not in types:
             raise ConfigError(f"unknown key {key!r} in {where}")
+        if is_dataclass(types[name]):
+            val = _fill(types[name], val, key)
+        elif not _type_ok(types[name], val):
+            raise ConfigError(f"key {key!r} in {where} has the wrong type: {val!r}")
         kwargs[name] = val
     return cls(**kwargs)
 
 
 def config_from_obj(obj):
     obj = dict(obj)
-    nested = {"denoiser": DenoiserSettings, "assembly": AssemblySettings,
-              "eval": EvalSettings}
-    kwargs = {}
-    for key, cls in nested.items():
-        if key in obj:
-            kwargs[key] = _fill(cls, obj.pop(key), key)
+    fractions = obj.pop("fractions", DEFAULT_FRACTIONS)
+    if not isinstance(fractions, (list, tuple)) or not all(
+            _type_ok(float, f) for f in fractions):
+        raise ConfigError(f"'fractions' must be a list of numbers, got {fractions!r}")
     cfg = _fill(PipelineConfig, obj, "config")
-    for key, val in kwargs.items():
-        setattr(cfg, key, val)
-    if cfg.fractions is not None:
-        cfg.fractions = tuple(float(f) for f in cfg.fractions)
+    cfg.fractions = tuple(float(f) for f in fractions)
     return cfg.validate()
 
 

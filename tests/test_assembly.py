@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from graphstitch.assembly import (SynthAccumulator, assemble,
-                                  generate_subgraph, progressive_assemble,
-                                  _union_loop)
+from graphstitch.assembly import (assemble, generate_subgraph,
+                                  progressive_assemble, _union_loop)
 from graphstitch.denoiser import DenoiserParams, TrainConfig, train
 from graphstitch.diffusion import build_schedule
 from graphstitch.errors import InvalidParameter, StalledAssembly
@@ -97,6 +96,16 @@ class TestUnionLoop:
         assert acc.subgraphs_used == 1
         assert [len(s) for s in snaps] == [15, 15, 15]
 
+    def test_snapshots_are_sorted_pair_codes(self):
+        subs = [sample_of(9, [2, 5, 7], [(5, 7), (2, 5)]),
+                sample_of(9, [0, 5], [(0, 5)]),
+                sample_of(9, [1, 2, 5], [(1, 5), (2, 5)])]
+        snaps, acc = _union_loop(fixed_feeder(subs), 9, [2, 4])
+        assert acc.subgraphs_used == 3 and acc.overshoot == 0
+        assert snaps[0].tolist() == [2 * 9 + 5, 5 * 9 + 7]
+        assert snaps[1].tolist() == [0 * 9 + 5, 1 * 9 + 5, 2 * 9 + 5, 5 * 9 + 7]
+        assert snaps[1].dtype == np.int64
+
 
 class TestAssemble:
     def test_reaches_target(self):
@@ -146,9 +155,3 @@ class TestProgressive:
             with pytest.raises(InvalidParameter):
                 progressive_assemble(params, sched, bad, 5, 3, seed=0)
 
-
-def test_accumulator_graph():
-    acc = SynthAccumulator(5)
-    acc.edge_set.update({(0, 1), (3, 4)})
-    g = acc.to_graph()
-    assert g.n == 5 and g.num_edges == 2

@@ -1,5 +1,6 @@
 """Gather-based induced subgraphs, components and Ego corpora against the
-per-node and Graph-per-round kernels in graph_oracle."""
+per-node and Graph-per-round kernels in graph_oracle, and the pair codes
+every Graph keeps."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import graph_oracle as oracle
 from graphstitch.errors import InvalidNodeSet
-from graphstitch.graphs import Graph, induced_subgraph, largest_connected_component
+from graphstitch.graphs import (Graph, decode_pairs, induced_subgraph,
+                                largest_connected_component, pair_codes)
 from graphstitch.sampling import build_corpus, two_hop_neighborhood, write_corpus_jsonl
 from graphstitch.sbm import sbm_graph
 
@@ -58,6 +60,24 @@ def graph_and_nodes(draw):
 
 check = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
+
+
+@check
+@given(graphs, st.integers(0, 2**32 - 1))
+def test_edge_codes_sorted_unique_and_decode(g, seed):
+    # the same edges shuffled, some reversed and some repeated
+    rng = np.random.default_rng(seed)
+    ea = g.edge_array[rng.permutation(g.num_edges)]
+    flip = rng.random(g.num_edges) < 0.5
+    ea[flip] = ea[flip, ::-1]
+    h = Graph(g.n, np.concatenate([ea, ea[:g.num_edges // 2]]))
+    codes = h.edge_codes
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    assert codes.tolist() == sorted({min(u, v) * g.n + max(u, v) for u, v in ea.tolist()})
+    assert np.array_equal(pair_codes(ea[:, 0], ea[:, 1], g.n),
+                          pair_codes(ea[:, 1], ea[:, 0], g.n))
+    assert np.array_equal(decode_pairs(codes, g.n), g.edge_array)
+    assert np.array_equal(h.edge_array, g.edge_array)
 
 
 class TestInducedSubgraph:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import linkpred_oracle as oracle
 from graphstitch.errors import InvalidParameter, NegativeSamplingExhausted
 from graphstitch.graphs import Graph
 from graphstitch.linkpred import (average_precision, build_eval_set, evaluate,
@@ -102,6 +103,90 @@ class TestEvalSet:
         g = Graph(5, list(itertools.combinations(range(5), 2)))
         with pytest.raises(NegativeSamplingExhausted):
             _sample_non_edges(g, 1, substream(0, "x"), budget=2000)
+
+
+class CountingRng:
+    """A Generator that counts its integers() calls."""
+
+    def __init__(self, seed):
+        self.gen = substream(seed, "non-edges")
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+def near_complete(n, missing, seed):
+    """K_n less `missing` random pairs."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.ones(iu.size, dtype=bool)
+    keep[np.random.default_rng(seed).choice(iu.size, missing, replace=False)] = False
+    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
+
+
+class TestNonEdgeSampler:
+    """Batch rejection on pair codes against the per-candidate loop."""
+
+    def run_both(self, g, count, budget=None, seed=0):
+        kw = {} if budget is None else {"budget": budget}
+        out = []
+        for fn in (_sample_non_edges, oracle.sample_non_edges):
+            rng = CountingRng(seed)
+            try:
+                pairs = fn(g, count, rng, **kw)
+            except NegativeSamplingExhausted as exc:
+                pairs = str(exc)
+            out.append((pairs, rng.calls, rng.gen.bit_generator.state))
+        return out
+
+    @pytest.mark.parametrize("g, count", [
+        (sbm_graph([40, 40], 0.2, 0.02, seed=4), 300),
+        (sbm_graph([96, 96], 0.3, 0.02, seed=1), 5000),
+        (Graph(2), 1),
+        (Graph(3, [(0, 2)]), 2),
+        (Graph(4, [(1, 2), (0, 3)]), 4),
+    ], ids=["sparse", "sparse-many-batches", "n2", "n3", "n4-all"])
+    def test_matches_oracle(self, g, count):
+        (got, calls, state), (want, want_calls, want_state) = self.run_both(g, count)
+        assert np.array_equal(got, want)
+        assert calls == want_calls and state == want_state
+
+    def test_dense_many_rejections(self):
+        # 13 non-edges among 7,140 pairs: a batch draws each about 0.6 times
+        g = near_complete(120, 13, seed=2)
+        for count in (1, 7, 13):
+            (got, calls, state), (want, want_calls, want_state) = \
+                self.run_both(g, count, seed=count)
+            assert np.array_equal(got, want) and got.shape == (count, 2)
+            assert calls == want_calls and state == want_state
+        assert calls > 3
+
+    @pytest.mark.parametrize("budget", [2000, 4096, 10000])
+    def test_exhaustion_after_same_draws(self, budget):
+        g = Graph(6, list(itertools.combinations(range(6), 2)))
+        (got, calls, state), (want, want_calls, want_state) = \
+            self.run_both(g, 1, budget=budget)
+        assert got == want == f"drew {budget} candidate pairs for 1 non-edges; graph too dense"
+        assert calls == want_calls == -(-budget // 4096)
+        assert state == want_state
+
+    def test_budget_ends_mid_batch(self):
+        # 13,000 draws are three full batches and a short one of 712: with
+        # seed 3 the short batch finds the last non-edge, with seed 0 it
+        # does not and the sampler raises, as the loop does
+        g = near_complete(120, 13, seed=2)
+        results = []
+        for seed in (0, 3):
+            (got, calls, state), (want, want_calls, want_state) = \
+                self.run_both(g, 13, budget=13000, seed=seed)
+            results.append(type(want).__name__)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+            assert calls == want_calls == 4 and state == want_state
+        assert results == ["str", "ndarray"]
 
 
 class TestTraining:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -75,6 +76,33 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             pipeline.load_config(p)
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"denoiser": 5}, "'denoiser'"),
+        ({"eval": [1]}, "'eval'"),
+        ({"fractions": "ab"}, "'fractions'"),
+        ({"fractions": [0.5, "1"]}, "'fractions'"),
+        ({"fractions": None}, "'fractions'"),
+        ({"k": "5"}, "'k'"),
+        ({"k": 5.0}, "'k'"),
+        ({"k": True}, "'k'"),
+        ({"dataset": 3}, "'dataset'"),
+        ({"eval": {"epochs": 1.5}}, "'epochs' in eval"),
+        ({"denoiser": {"lr": "fast"}}, "'lr' in denoiser"),
+        ({"denoiser": {"freeze_node_ids": 1}}, "'freeze_node_ids' in denoiser"),
+        ({"assembly": {"target_edges": "all"}}, "'target_edges' in assembly"),
+    ])
+    def test_malformed_values_name_the_key(self, obj, key):
+        with pytest.raises(ConfigError, match=key):
+            pipeline.config_from_obj(obj)
+
+    def test_well_typed_values_accepted(self):
+        cfg = pipeline.config_from_obj({
+            "count": None, "delta": 0.1, "fractions": [0.5, 1],
+            "denoiser": {"lr": 1, "freeze_node_ids": True},
+            "assembly": {"target_edges": 40, "k_gen": None}})
+        assert cfg.fractions == (0.5, 1.0) and cfg.denoiser.learning_rate == 1
+        assert cfg.denoiser.freeze_node_ids is True
 
 
 class TestCommands:
@@ -185,6 +213,15 @@ class TestCLI:
         assert rc == 2
         assert "graphstitch:" in capsys.readouterr().err
 
+    def test_exit_code_2_on_malformed_value(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        for obj in ({"denoiser": 5}, {"fractions": "ab"}, {"k": "5"}):
+            p.write_text(json.dumps(obj))
+            rc = cli.main(["progressive", "--config", str(p)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("graphstitch:") and repr(next(iter(obj))) in err
+
     def test_exit_code_2_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--out", str(tmp_path / "nowhere")])
         assert rc == 2
@@ -227,3 +264,70 @@ class TestCLI:
         for name in ("sample", "train", "generate", "eval", "linkpred",
                      "progressive", "fixture-sbm"):
             assert name in text
+
+
+def common_overrides(command, dataset=True):
+    flags = [("--seed", "7", None, "seed", 7), ("--out", "o", None, "out", "o")]
+    if dataset:
+        flags.append(("--dataset", "g.txt", None, "dataset", "g.txt"))
+    return [(command,) + f for f in flags]
+
+
+OVERRIDES = (
+    common_overrides("sample") + [
+        ("sample", "--scheme", "Ego", None, "scheme", "Ego"),
+        ("sample", "--k", "9", None, "k", 9),
+        ("sample", "--d", "2", None, "d", 2),
+        ("sample", "--count", "33", None, "count", 33),
+        ("sample", "--delta", "0.2", None, "delta", 0.2)]
+    + common_overrides("train", dataset=False) + [
+        ("train", "--T", "40", None, "T", 40),
+        ("train", "--steps", "11", "denoiser", "steps", 11),
+        ("train", "--batch", "4", "denoiser", "batch", 4),
+        ("train", "--lr", "0.01", "denoiser", "learning_rate", 0.01),
+        ("train", "--lambda", "2.5", "denoiser", "lam", 2.5),
+        ("train", "--h", "16", "denoiser", "h", 16),
+        ("train", "--layers", "3", "denoiser", "L", 3)]
+    + common_overrides("generate") + [
+        ("generate", "--target-fraction", "0.5", "assembly", "target_fraction", 0.5),
+        ("generate", "--target-edges", "99", "assembly", "target_edges", 99),
+        ("generate", "--k-gen", "7", "assembly", "k_gen", 7)]
+    + common_overrides("eval")
+    + common_overrides("linkpred") + [
+        ("linkpred", "--fraction", "0.3", "eval", "fraction", 0.3),
+        ("linkpred", "--embed-dim", "8", "eval", "h", 8),
+        ("linkpred", "--epochs", "12", "eval", "epochs", 12),
+        ("linkpred", "--lr", "0.25", "eval", "learning_rate", 0.25)]
+    + common_overrides("progressive") + [
+        ("progressive", "--fractions", "0.5,1.0", None, "fractions", (0.5, 1.0))]
+    + common_overrides("fixture-sbm", dataset=False))
+
+
+@pytest.mark.parametrize("command, flag, value, section, name, want", OVERRIDES,
+                         ids=[f"{o[0]}{o[1]}" for o in OVERRIDES])
+def test_override_lands_in_its_field(command, flag, value, section, name, want):
+    args = cli.build_parser().parse_args([command, flag, value])
+    got = dataclasses.asdict(cli._build_config(args))
+    expect = dataclasses.asdict(pipeline.PipelineConfig())
+    (expect[section] if section else expect)[name] = want
+    assert got == expect
+
+
+def test_freeze_node_ids_end_to_end(tmp_path):
+    """Frozen node IDs train deterministically, on a different loss."""
+    dataset = tmp_path / "g.edgelist"
+    save_edge_list(sbm_graph([8, 8], 0.5, 0.1, seed=2), dataset)
+    outputs = {}
+    for run, frozen in (("a", True), ("b", True), ("c", False)):
+        cfg = pipeline.config_from_obj({
+            "dataset": str(dataset), "k": 5, "d": 2, "T": 8, "seed": 1,
+            "denoiser": {"h": 8, "L": 1, "steps": 12, "batch": 4,
+                         "freeze_node_ids": frozen},
+            "out": str(tmp_path / run)})
+        pipeline.cmd_sample(cfg)
+        pipeline.cmd_train(cfg)
+        outputs[run] = {name: (tmp_path / run / name).read_bytes()
+                        for name in sorted(os.listdir(tmp_path / run))}
+    assert len(outputs["a"]) == 6
+    assert outputs["a"] == outputs["b"]
+    assert outputs["a"]["loss.csv"] != outputs["c"]["loss.csv"]
