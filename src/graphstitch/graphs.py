@@ -57,21 +57,16 @@ class Graph:
         self.edge_array = arr = decode_pairs(codes, n)
         self.num_edges = int(arr.shape[0])
 
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.lexsort((cols, rows))
-        counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=np.int64)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._nbrs = cols[order]
+        # both orientations as row*n + col codes: sorted, they are the CSR
+        both = np.sort(np.concatenate([codes, arr[:, 1] * np.int64(n) + arr[:, 0]]))
+        self._nbrs = both % n
+        self._indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
         self._csr = None
         self._edge_set = None
 
     @property
     def degrees(self):
         return np.diff(self._indptr)
-
-    def degree(self, u):
-        return int(self._indptr[u + 1] - self._indptr[u])
 
     def neighbors(self, u):
         """Sorted neighbor IDs of u (a view; do not mutate)."""
@@ -101,11 +96,9 @@ class Graph:
     def to_csr(self):
         """Symmetric 0/1 adjacency as scipy CSR (cached)."""
         if self._csr is None:
-            arr = self.edge_array
-            rows = np.concatenate([arr[:, 0], arr[:, 1]])
-            cols = np.concatenate([arr[:, 1], arr[:, 0]])
-            data = np.ones(rows.size, dtype=np.int64)
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            data = np.ones(self._nbrs.size, dtype=np.int64)
+            self._csr = sp.csr_matrix((data, self._nbrs, self._indptr),
+                                      shape=(self.n, self.n))
         return self._csr
 
     def __eq__(self, other):

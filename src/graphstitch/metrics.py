@@ -49,20 +49,15 @@ class StatsReport:
 
 
 def _per_node_triangles(g):
-    """t[v] = number of triangles containing v, via sorted-list intersections."""
-    t = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edge_array.tolist():
-        common = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
-        # each triangle's three edges each credit the opposite vertex once
-        t[common] += 1
-    return t
+    """t[v] = number of triangles containing v: row sums of A * (A @ A),
+    which count each triangle at v once per incident edge, so twice."""
+    A = g.to_csr()
+    return np.asarray(A.multiply(A @ A).sum(axis=1)).ravel() // 2
 
 
-def count_triangles(g, per_node=None):
-    """Number of triangles; per_node is _per_node_triangles(g) if known."""
-    if per_node is None:
-        per_node = _per_node_triangles(g)
-    total = int(per_node.sum())
+def count_triangles(g):
+    """Number of triangles."""
+    total = int(_per_node_triangles(g).sum())
     if total % 3:
         raise RuntimeError(f"per-node triangle counts sum to {total}, not a multiple of 3")
     return total // 3
@@ -72,7 +67,7 @@ def count_squares(g):
     """Number of 4-cycles: half the sum over u<v of C(codegree(u,v), 2)."""
     if g.n < 4 or g.num_edges < 4:
         return 0
-    A = g.to_csr().astype(np.int64)
+    A = g.to_csr()
     codeg = sp.triu(A @ A, k=1).tocoo().data
     paired = int((codeg * (codeg - 1) // 2).sum())
     if paired % 2:
@@ -80,21 +75,20 @@ def count_squares(g):
     return paired // 2
 
 
-def degree_stats(g, per_node=None):
+def degree_stats(g):
     """(max_degree, mean local clustering, degree assortativity).
 
     Clustering averages over non-isolated nodes, degree < 2 contributing 0;
     NaN when every node is isolated. Assortativity is the Pearson
     correlation of endpoint degrees over both edge orientations; NaN when
     either marginal has zero variance (e.g. regular graphs) or m = 0.
-    per_node is _per_node_triangles(g) if known.
     """
     deg = g.degrees
     max_degree = int(deg.max()) if g.n else 0
 
     active = deg > 0
     if active.any():
-        tri = _per_node_triangles(g) if per_node is None else per_node
+        tri = _per_node_triangles(g)
         possible = deg * (deg - 1) / 2.0
         local = np.zeros(g.n)
         two_plus = deg >= 2
@@ -145,8 +139,7 @@ def characteristic_path_length(g):
 
 def stats_report(g):
     nodes, edges = graph_summary(g)
-    tri = _per_node_triangles(g)
-    max_degree, clustering, assort = degree_stats(g, tri)
+    max_degree, clustering, assort = degree_stats(g)
     flags = []
     if math.isnan(clustering):
         flags.append("clustering_degenerate")
@@ -160,7 +153,7 @@ def stats_report(g):
     cpl = characteristic_path_length(g)
     if math.isnan(cpl):
         flags.append("cpl_degenerate")
-    return StatsReport(nodes, edges, count_triangles(g, tri), count_squares(g),
+    return StatsReport(nodes, edges, count_triangles(g), count_squares(g),
                        max_degree, clustering, assort, plaw, cpl, tuple(flags))
 
 

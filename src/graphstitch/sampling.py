@@ -177,7 +177,7 @@ def sample_ego(g, k, d, seed=0):
 
 
 def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0,
-                 coverage_constant=1.0, max_count=UNIF_CAP):
+                 max_count=UNIF_CAP):
     """Sample a training corpus and shuffle it with a seeded permutation.
 
     Unif takes `count` samples (default: coverage bound capped at
@@ -189,7 +189,7 @@ def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0,
         raise InvalidParameter(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if name == "Unif":
         if count is None:
-            count = required_sample_count(g.n, k, delta, coverage_constant)
+            count = required_sample_count(g.n, k, delta)
             if max_count is not None:
                 count = min(count, max_count)
         corpus = sample_uniform(g, k, count, seed=seed)

@@ -1,19 +1,42 @@
-"""Induced subgraphs and Ego halving: the slow, obvious reference.
+"""Graph adjacency, induced subgraphs and Ego halving: the slow, obvious
+reference.
 
-These are the kernels the gather-based ones in `graphstitch.graphs` and
-`graphstitch.sampling` replaced: a per-node loop over neighbor lists for
-`induced_subgraph`, scipy components of a whole `Graph` for the largest
-component, and an Ego halving loop that builds an intermediate `Graph` for
-every round. Tests compare the fast kernels and Ego corpora against them.
+These are the kernels the ones in `graphstitch.graphs` and
+`graphstitch.sampling` replaced: `Graph`'s CSR built by a `lexsort` of both
+edge orientations and its scipy adjacency built from COO triplets, a
+per-node loop over neighbor lists for `induced_subgraph`, scipy components
+of a whole `Graph` for the largest component, and an Ego halving loop that
+builds an intermediate `Graph` for every round. Tests compare the fast
+kernels and Ego corpora against them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from graphstitch.errors import InvalidNodeSet
 from graphstitch.graphs import Graph
 from graphstitch.rng import substream
 from graphstitch.sampling import SampleCorpus, SubgraphSample
+
+
+def csr_arrays(g):
+    """(indptr, neighbors) of g, sorting both edge orientations by (row, col)."""
+    arr = g.edge_array
+    rows = np.concatenate([arr[:, 0], arr[:, 1]])
+    cols = np.concatenate([arr[:, 1], arr[:, 0]])
+    order = np.lexsort((cols, rows))
+    counts = np.bincount(rows, minlength=g.n) if rows.size else np.zeros(g.n, dtype=np.int64)
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), cols[order]
+
+
+def to_csr(g):
+    """Symmetric int64 0/1 adjacency of g, built from COO triplets."""
+    arr = g.edge_array
+    rows = np.concatenate([arr[:, 0], arr[:, 1]])
+    cols = np.concatenate([arr[:, 1], arr[:, 0]])
+    data = np.ones(rows.size, dtype=np.int64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
 def induced_subgraph(g, nodes):

@@ -1,6 +1,9 @@
 """Gather-based induced subgraphs, components and Ego corpora against the
-per-node and Graph-per-round kernels in graph_oracle, and the pair codes
-every Graph keeps."""
+per-node and Graph-per-round kernels in graph_oracle, the pair codes every
+Graph keeps, and the CSR built from them (with its scipy wrapper, per-node
+triangles and clustering) against graph_oracle and metric_oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as oracle
+import metric_oracle
 from graphstitch.errors import InvalidNodeSet
 from graphstitch.graphs import (Graph, decode_pairs, induced_subgraph,
                                 largest_connected_component, pair_codes)
+from graphstitch.metrics import _per_node_triangles, degree_stats
 from graphstitch.sampling import build_corpus, two_hop_neighborhood, write_corpus_jsonl
 from graphstitch.sbm import sbm_graph
 
@@ -50,6 +55,19 @@ graphs = st.one_of(
 )
 
 
+def complete(n):
+    iu, ju = np.triu_indices(n, k=1)
+    return Graph(n, np.column_stack([iu, ju]))
+
+
+# `graphs` plus the node counts it leaves out (n = 0) and the extremes of density
+any_graphs = st.one_of(
+    graphs,
+    st.integers(0, 12).map(Graph),
+    st.integers(0, 16).map(complete),
+)
+
+
 @st.composite
 def graph_and_nodes(draw):
     g = draw(graphs)
@@ -78,6 +96,38 @@ def test_edge_codes_sorted_unique_and_decode(g, seed):
                           pair_codes(ea[:, 1], ea[:, 0], g.n))
     assert np.array_equal(decode_pairs(codes, g.n), g.edge_array)
     assert np.array_equal(h.edge_array, g.edge_array)
+
+
+class TestAdjacency:
+    @check
+    @given(any_graphs)
+    def test_csr_arrays_match_oracle(self, g):
+        indptr, nbrs = oracle.csr_arrays(g)
+        assert g._indptr.dtype == indptr.dtype and np.array_equal(g._indptr, indptr)
+        assert g._nbrs.dtype == nbrs.dtype and np.array_equal(g._nbrs, nbrs)
+
+    @check
+    @given(any_graphs)
+    def test_to_csr_matches_oracle(self, g):
+        got, want = g.to_csr(), oracle.to_csr(g)
+        assert got.shape == want.shape == (g.n, g.n)
+        assert got.dtype == want.dtype == np.int64
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @check
+    @given(any_graphs)
+    def test_per_node_triangles_match_oracle(self, g):
+        got = _per_node_triangles(g)
+        want = metric_oracle.per_node_triangles(g)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @check
+    @given(any_graphs)
+    def test_clustering_matches_oracle(self, g):
+        got = degree_stats(g)[1]
+        want = metric_oracle.clustering(g)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestInducedSubgraph:
