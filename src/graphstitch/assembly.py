@@ -56,13 +56,13 @@ def generate_subgraph(params, sched, k, seed):
     return SubgraphSample(Graph(int(uniq.size), edges), uniq, params.n)
 
 
-def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
+def _union_loop(make_subgraph, n, thresholds):
     """Generate-and-union until the last threshold is reached.
 
     Returns (snapshots, acc): one sorted int64 array of the union's pair
     codes per threshold, taken the first time the union size crosses it (a
     single subgraph may cross several). Raises StalledAssembly after
-    `stall_limit` consecutive subgraphs that add no new edge.
+    STALL_LIMIT consecutive subgraphs that add no new edge.
     """
     acc = SynthAccumulator()
     union = set()  # Python ints: an insert costs the subgraph, not the union
@@ -79,9 +79,9 @@ def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
         while pending and acc.num_edges >= pending[0]:
             snapshots.append(np.sort(np.fromiter(union, np.int64, len(union))))
             pending.pop(0)
-        if pending and streak >= stall_limit:
+        if pending and streak >= STALL_LIMIT:
             raise StalledAssembly(
-                f"{stall_limit} consecutive subgraphs added no new edges "
+                f"{STALL_LIMIT} consecutive subgraphs added no new edges "
                 f"({acc.num_edges}/{pending[-1]} edges after "
                 f"{acc.subgraphs_used} subgraphs)",
                 edges=acc.num_edges, subgraphs_used=acc.subgraphs_used)
@@ -89,17 +89,17 @@ def _union_loop(make_subgraph, n, thresholds, stall_limit=STALL_LIMIT):
     return snapshots, acc
 
 
-def _assemble(params, sched, thresholds, k, seed, stall_limit):
+def _assemble(params, sched, thresholds, k, seed):
     """One assembly pass of generated subgraphs: a Graph per threshold and
     the pass's counters."""
     def make(i):
         return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
 
-    snapshots, acc = _union_loop(make, params.n, thresholds, stall_limit)
+    snapshots, acc = _union_loop(make, params.n, thresholds)
     return [Graph(params.n, decode_pairs(c, params.n)) for c in snapshots], acc
 
 
-def assemble(params, sched, target_edges, k, seed, stall_limit=STALL_LIMIT):
+def assemble(params, sched, target_edges, k, seed):
     """Union generated subgraphs until >= target_edges; returns (Graph, acc).
 
     Overshoot is bounded by k*(k-1)/2 - 1 since the final subgraph is
@@ -107,12 +107,11 @@ def assemble(params, sched, target_edges, k, seed, stall_limit=STALL_LIMIT):
     """
     if target_edges < 1:
         raise InvalidParameter("target_edges must be >= 1")
-    graphs, acc = _assemble(params, sched, [target_edges], k, seed, stall_limit)
+    graphs, acc = _assemble(params, sched, [target_edges], k, seed)
     return graphs[0], acc
 
 
-def progressive_assemble(params, sched, fractions, total_edges, k, seed,
-                         stall_limit=STALL_LIMIT):
+def progressive_assemble(params, sched, fractions, total_edges, k, seed):
     """Snapshots of the growing union at ceil(f * total_edges) for each f.
 
     fractions must be strictly increasing within (0, 1]. Returns
@@ -126,5 +125,5 @@ def progressive_assemble(params, sched, fractions, total_edges, k, seed,
     if total_edges < 1:
         raise InvalidParameter("total_edges must be >= 1")
     thresholds = [max(1, int(np.ceil(f * total_edges))) for f in fr]
-    graphs, _ = _assemble(params, sched, thresholds, k, seed, stall_limit)
+    graphs, _ = _assemble(params, sched, thresholds, k, seed)
     return list(zip(fr, graphs))

@@ -115,22 +115,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command == "sample":
-            paths = pipeline.cmd_sample(cfg)
-        elif args.command == "train":
-            paths = pipeline.cmd_train(cfg)
-        elif args.command == "generate":
-            paths = pipeline.cmd_generate(cfg)
-        elif args.command == "eval":
-            paths = pipeline.cmd_eval(cfg)
-        elif args.command == "linkpred":
-            paths = pipeline.cmd_linkpred(cfg)
-        elif args.command == "progressive":
-            paths = pipeline.cmd_progressive(cfg)
-        else:
+        if args.command == "fixture-sbm":
             sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
                 else [args.block_size] * args.blocks
             paths = pipeline.cmd_fixture_sbm(cfg, sizes, args.p_in, args.p_out)
+        else:
+            paths = getattr(pipeline, f"cmd_{args.command}")(cfg)
     except (ConfigError, ParseError, InvalidParameter, InvalidNodeSet,
             FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"graphstitch: {exc}", file=sys.stderr)

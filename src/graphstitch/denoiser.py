@@ -39,15 +39,22 @@ SAVE_CHUNK = 4096  # numbers per json.dumps call when writing a checkpoint
 
 
 @dataclass
-class TrainConfig:
-    steps: int
-    batch: int = 32
-    learning_rate: float = 3e-3
-    lam: float = 8.0  # weight of the pair-state loss term
+class DenoiserSettings:
+    """The denoiser's shape and training settings: the `denoiser` section
+    of a pipeline config."""
+
     h: int = 64
     L: int = 2
-    seed: int = 0
+    lam: float = 8.0  # weight of the pair-state loss term
+    steps: int = 5000
+    batch: int = 32
+    learning_rate: float = 3e-3
     freeze_node_ids: bool = False
+
+
+@dataclass
+class TrainConfig(DenoiserSettings):
+    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 0:
@@ -62,19 +69,19 @@ class TrainConfig:
 class DenoiserParams:
     """Named tensor bag with the layout baked into the keys."""
 
-    def __init__(self, n, h, L, tensors, time_dim=TIME_FEATURES):
+    def __init__(self, n, h, L, tensors):
         self.n = n
         self.h = h
         self.L = L
-        self.time_dim = time_dim
         self.tensors = tensors
 
     @classmethod
-    def init(cls, n, h, L, seed, time_dim=TIME_FEATURES):
+    def init(cls, n, h, L, seed):
         rng = substream(seed, "denoiser-init")
         t = {}
         t["node_embed"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(n, h))
-        t["time_w"] = rng.normal(0.0, 1.0 / math.sqrt(time_dim), size=(time_dim, h))
+        t["time_w"] = rng.normal(0.0, 1.0 / math.sqrt(TIME_FEATURES),
+                                size=(TIME_FEATURES, h))
         t["time_b"] = np.zeros(h)
         for l in range(L):
             t[f"layer{l}.w_self"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, h))
@@ -92,22 +99,21 @@ class DenoiserParams:
         t["edge_head_b1"] = np.zeros(h)
         t["edge_head_w2"] = np.zeros((h, 2))
         t["edge_head_b2"] = np.zeros(2)
-        return cls(n, h, L, t, time_dim)
+        return cls(n, h, L, t)
 
     def zeros_like(self):
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
     def copy(self):
         return DenoiserParams(self.n, self.h, self.L,
-                              {k: v.copy() for k, v in self.tensors.items()},
-                              self.time_dim)
+                              {k: v.copy() for k, v in self.tensors.items()})
 
     def save(self, path):
         """Write the bytes json.dump(obj, fh, sort_keys=True) plus a newline
         would, through the C encoder, SAVE_CHUNK numbers at a time (json.dump
         runs the pure-Python encoder over the whole object)."""
         head = json.dumps({"L": self.L, "h": self.h, "n": self.n}, sort_keys=True)
-        tail = json.dumps({"time_dim": self.time_dim, "version": 1}, sort_keys=True)
+        tail = json.dumps({"time_dim": TIME_FEATURES, "version": 1}, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head[:-1] + ', "tensors": {')
             for i, key in enumerate(sorted(self.tensors)):
@@ -126,9 +132,12 @@ class DenoiserParams:
             obj = json.load(fh)
         if obj.get("version") != 1:
             raise InvalidParameter(f"unsupported checkpoint version {obj.get('version')!r}")
+        if obj.get("time_dim") != TIME_FEATURES:
+            raise InvalidParameter(f"checkpoint {path}: time_dim {obj.get('time_dim')!r}"
+                                   f" is not {TIME_FEATURES}")
         tensors = {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
                    for k, spec in obj["tensors"].items()}
-        return cls(obj["n"], obj["h"], obj["L"], tensors, obj["time_dim"])
+        return cls(obj["n"], obj["h"], obj["L"], tensors)
 
 
 def _time_features(t, T):

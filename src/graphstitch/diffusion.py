@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegeneratePosterior, InvalidParameter
 from .rng import as_generator
-from .sampling import local_pairs
 
 COSINE_OFFSET = 0.008
 
@@ -113,11 +112,11 @@ def cosine_alpha_bar(T, s=COSINE_OFFSET):
 
 def corpus_marginals(corpus):
     """(m_x, m_e): node-ID and pair-state frequencies over the corpus."""
-    counts = np.zeros(corpus.n_parent, dtype=np.float64)
+    counts = np.bincount(np.concatenate([s.id_map for s in corpus]),
+                         minlength=corpus.n_parent).astype(np.float64)
     present = 0
     pairs = 0
     for sample in corpus:
-        np.add.at(counts, sample.id_map, 1.0)
         k = sample.num_nodes
         pairs += k * (k - 1) // 2
         present += sample.local.num_edges
@@ -133,10 +132,10 @@ def corpus_marginals(corpus):
     return m_x, m_e
 
 
-def build_schedule(T, corpus, s=COSINE_OFFSET):
+def build_schedule(T, corpus):
     if T < 1:
         raise InvalidParameter("T must be >= 1")
-    ab = cosine_alpha_bar(T, s)
+    ab = cosine_alpha_bar(T, COSINE_OFFSET)
     alpha = ab[1:] / ab[:-1]
     m_x, m_e = corpus_marginals(corpus)
     sched = NoiseSchedule(T, alpha, ab, m_x, m_e)
@@ -266,5 +265,5 @@ def prior_sample(k, sched, seed):
 __all__ = [
     "NoiseSchedule", "NoisySample", "cosine_alpha_bar", "corpus_marginals",
     "build_schedule", "transition_apply", "forward_noise", "posterior_step",
-    "reverse_step", "prior_sample", "local_pairs",
+    "reverse_step", "prior_sample",
 ]

@@ -42,10 +42,7 @@ class Graph:
         if n < 0:
             raise ValueError("node count must be non-negative")
         self.n = n
-        if isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            arr = np.array([tuple(e) for e in edges], dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("edge endpoint out of range")

@@ -9,30 +9,20 @@ seed): re-running produces byte-identical files.
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args
 
 import numpy as np
 
 from . import assembly, linkpred, metrics, sampling
-from .denoiser import DenoiserParams, TrainConfig, train, write_loss_csv
+from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
+                       write_loss_csv)
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError
 from .graphs import graph_summary, load_edge_list_file, save_edge_list
 from .sbm import sbm_graph
 
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
-
-
-@dataclass
-class DenoiserSettings:
-    h: int = 64
-    L: int = 2
-    lam: float = 8.0
-    steps: int = 5000
-    batch: int = 32
-    learning_rate: float = 3e-3
-    freeze_node_ids: bool = False
 
 
 @dataclass
@@ -58,7 +48,6 @@ class PipelineConfig:
     d: int = 5
     count: int | None = None
     delta: float = 0.05
-    unif_cap: int | None = sampling.UNIF_CAP
     T: int = 500
     denoiser: DenoiserSettings = field(default_factory=DenoiserSettings)
     assembly: AssemblySettings = field(default_factory=AssemblySettings)
@@ -162,8 +151,7 @@ def cmd_sample(cfg):
     g, report = _require_dataset(cfg)
     _outdir(cfg)
     corpus = sampling.build_corpus(g, cfg.scheme, cfg.k, d=cfg.d, count=cfg.count,
-                                   delta=cfg.delta, seed=cfg.seed,
-                                   max_count=cfg.unif_cap)
+                                   delta=cfg.delta, seed=cfg.seed)
     corpus_path = _path(cfg, "corpus.jsonl")
     sampling.write_corpus_jsonl(corpus, corpus_path)
     stats = sampling.corpus_stats(corpus)
@@ -189,11 +177,7 @@ def cmd_train(cfg):
     schedule, and the per-step loss CSV."""
     corpus = _read_corpus(cfg)
     sched = build_schedule(cfg.T, corpus)
-    dn = cfg.denoiser
-    tc = TrainConfig(steps=dn.steps, batch=dn.batch, learning_rate=dn.learning_rate,
-                     lam=dn.lam, h=dn.h, L=dn.L, seed=cfg.seed,
-                     freeze_node_ids=dn.freeze_node_ids)
-    params, trace = train(corpus, sched, tc)
+    params, trace = train(corpus, sched, TrainConfig(**asdict(cfg.denoiser), seed=cfg.seed))
     ckpt = _path(cfg, "checkpoint.json")
     params.save(ckpt)
     sched_path = _path(cfg, "schedule.json")

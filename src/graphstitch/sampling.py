@@ -18,7 +18,7 @@ from .graphs import Graph, induced_subgraph, largest_connected_component
 from .rng import substream
 
 SCHEMES = ("Unif", "RW", "Ego")
-UNIF_CAP = 10000  # default ceiling on uniform corpus size; the coverage bound is loose
+UNIF_CAP = 10000  # ceiling on the default Unif corpus size; the coverage bound is loose
 
 
 @lru_cache(maxsize=64)
@@ -84,19 +84,17 @@ class SampleCorpus:
         return iter(self.samples)
 
 
-def required_sample_count(n, k, delta, constant=1.0):
+def required_sample_count(n, k, delta):
     """Coverage-style bound on how many uniform k-subsets to draw.
 
-    ceil(C * (n/k)^2 * ln(n) * ln(1/delta)); at least 1. Deliberately loose
-    for real graphs, hence the UNIF_CAP default in build_corpus.
+    ceil((n/k)^2 * ln(n) * ln(1/delta)); at least 1. Deliberately loose
+    for real graphs, hence the UNIF_CAP ceiling in build_corpus.
     """
     if not 1 <= k <= n:
         raise InvalidParameter(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
-    if constant <= 0:
-        raise InvalidParameter("constant must be positive")
-    value = constant * (n / k) ** 2 * math.log(n) * math.log(1.0 / delta)
+    value = (n / k) ** 2 * math.log(n) * math.log(1.0 / delta)
     return max(1, math.ceil(value))
 
 
@@ -176,22 +174,21 @@ def sample_ego(g, k, d, seed=0):
     return SampleCorpus(samples, "Ego", k, d)
 
 
-def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0,
-                 max_count=UNIF_CAP):
+def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0):
     """Sample a training corpus and shuffle it with a seeded permutation.
 
     Unif takes `count` samples (default: coverage bound capped at
-    max_count); RW and Ego take d samples per node.
+    UNIF_CAP); RW and Ego take d samples per node.
     """
     name = {"unif": "Unif", "uniform": "Unif", "rw": "RW",
             "random_walk": "RW", "ego": "Ego"}.get(str(scheme).lower())
     if name is None:
         raise InvalidParameter(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if g.n == 0:
+        raise InvalidParameter("cannot sample a corpus from a graph with no nodes")
     if name == "Unif":
         if count is None:
-            count = required_sample_count(g.n, k, delta)
-            if max_count is not None:
-                count = min(count, max_count)
+            count = min(required_sample_count(g.n, k, delta), UNIF_CAP)
         corpus = sample_uniform(g, k, count, seed=seed)
     elif name == "RW":
         corpus = sample_random_walk(g, k, d, seed=seed)

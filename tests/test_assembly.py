@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphstitch import assembly
 from graphstitch.assembly import (assemble, generate_subgraph,
                                   progressive_assemble, _union_loop)
 from graphstitch.denoiser import DenoiserParams, TrainConfig, train
@@ -82,10 +83,11 @@ class TestUnionLoop:
         assert acc.subgraphs_used == 4
         assert acc.overshoot == 0
 
-    def test_stall_raises(self):
+    def test_stall_raises(self, monkeypatch):
+        monkeypatch.setattr(assembly, "STALL_LIMIT", 7)
         subs = [sample_of(4, [0, 1], [(0, 1)])]
         with pytest.raises(StalledAssembly) as exc:
-            _union_loop(fixed_feeder(subs), 4, [5], stall_limit=7)
+            _union_loop(fixed_feeder(subs), 4, [5])
         assert exc.value.edges == 1
         assert exc.value.subgraphs_used == 8  # 1 productive + 7 stalled
 

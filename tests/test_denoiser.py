@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import denoiser_oracle as oracle
 from graphstitch.denoiser import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_SAMPLES,
-                                  SAVE_CHUNK, DenoiserParams, TrainConfig, grad, loss,
+                                  SAVE_CHUNK, TIME_FEATURES, DenoiserParams,
+                                  DenoiserSettings, TrainConfig, grad, loss,
                                   predict, train, write_loss_csv,
                                   _adam_update, _loss_and_grad)
 from graphstitch.diffusion import build_schedule, forward_noise, NoisySample
@@ -269,6 +271,10 @@ class TestTrain:
         with pytest.raises(InvalidParameter):
             TrainConfig(steps=1, learning_rate=0)
 
+    def test_defaults_are_denoiser_settings(self):
+        assert dataclasses.asdict(TrainConfig()) == dict(
+            dataclasses.asdict(DenoiserSettings()), seed=0)
+
 
 class TestCheckpoint:
     def test_roundtrip_identical_predictions(self, tmp_path):
@@ -303,7 +309,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         params.save(path)
         obj = {"version": 1, "n": params.n, "h": params.h, "L": params.L,
-               "time_dim": params.time_dim,
+               "time_dim": TIME_FEATURES,
                "tensors": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
                            for k, v in params.tensors.items()}}
         ref = tmp_path / "ref.json"

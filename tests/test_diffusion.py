@@ -9,6 +9,7 @@ from graphstitch.diffusion import (NoiseSchedule, build_schedule,
 from graphstitch.errors import DegeneratePosterior, InvalidParameter
 from graphstitch.graphs import Graph
 from graphstitch.sampling import SubgraphSample, build_corpus
+from graphstitch.sbm import sbm_graph
 
 
 def toy_corpus():
@@ -60,6 +61,15 @@ class TestSchedule:
         m_x, m_e = corpus_marginals(corpus)
         assert np.allclose(m_x, [0.25, 0.5, 0.25])
         assert np.allclose(m_e, [0.5, 0.5])
+
+    def test_node_marginal_matches_per_sample_loop(self):
+        corpus = build_corpus(sbm_graph([20, 20], 0.3, 0.05, seed=2), "RW", k=5,
+                              d=2, seed=1)
+        counts = np.zeros(corpus.n_parent)
+        for sample in corpus:
+            np.add.at(counts, sample.id_map, 1.0)
+        m_x, _ = corpus_marginals(corpus)
+        assert m_x.tobytes() == (counts / counts.sum()).tobytes()
 
     def test_serialization_roundtrip(self, tmp_path):
         sched = build_schedule(20, toy_corpus())

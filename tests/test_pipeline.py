@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphstitch import cli, pipeline
+from graphstitch.denoiser import DenoiserParams
 from graphstitch.errors import ConfigError
 from graphstitch.graphs import load_edge_list_file, save_edge_list
 from graphstitch.sbm import sbm_graph
@@ -62,6 +63,14 @@ class TestConfig:
             pipeline.load_config(p)
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["sample", "--threads", "2"])
+
+    def test_unif_cap_key_removed(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"unif_cap": 50}))
+        with pytest.raises(ConfigError, match="unknown key 'unif_cap'"):
+            pipeline.load_config(p)
+        assert cli.main(["sample", "--config", str(p)]) == 2
+        assert "'unif_cap'" in capsys.readouterr().err
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -185,6 +194,25 @@ class TestCommands:
         g, _ = load_edge_list_file(paths["dataset"])
         assert g.n == 20
 
+    def test_train_forwards_denoiser_settings(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "g.edgelist"
+        save_edge_list(sbm_graph([6, 6], 0.5, 0.1, seed=0), dataset)
+        settings = {"h": 7, "L": 3, "lam": 2.5, "steps": 4, "batch": 3,
+                    "learning_rate": 0.02, "freeze_node_ids": True}
+        cfg = pipeline.config_from_obj({
+            "dataset": str(dataset), "k": 4, "d": 1, "T": 6, "seed": 9,
+            "denoiser": settings, "out": str(tmp_path / "out")})
+        seen = []
+
+        def fake_train(corpus, sched, tc):
+            seen.append(tc)
+            return DenoiserParams.init(len(sched.m_x), tc.h, tc.L, tc.seed), np.zeros(1)
+
+        monkeypatch.setattr(pipeline, "train", fake_train)
+        pipeline.cmd_sample(cfg)
+        pipeline.cmd_train(cfg)
+        assert [dataclasses.asdict(tc) for tc in seen] == [dict(settings, seed=9)]
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         cfg = pipeline.PipelineConfig(out=str(tmp_path))
         with pytest.raises(ConfigError):
@@ -225,6 +253,27 @@ class TestCLI:
     def test_exit_code_2_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--out", str(tmp_path / "nowhere")])
         assert rc == 2
+
+    @pytest.mark.parametrize("scheme", ["RW", "Ego", "Unif"])
+    def test_exit_code_2_on_empty_dataset(self, tmp_path, capsys, scheme):
+        dataset = tmp_path / "empty.edgelist"
+        dataset.write_text("3 3\n")  # a self-loop only: no edges, no nodes
+        rc = cli.main(["sample", "--dataset", str(dataset), "--scheme", scheme,
+                       "--k", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("graphstitch:")
+
+    def test_exit_code_2_on_foreign_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        ckpt = out / "checkpoint.json"
+        DenoiserParams.init(5, 3, 1, seed=0).save(ckpt)
+        obj = json.loads(ckpt.read_text())
+        obj["time_dim"] = 4
+        ckpt.write_text(json.dumps(obj))
+        rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
+        assert rc == 2
+        assert str(ckpt) in capsys.readouterr().err
 
     def test_exit_code_3_on_runtime_failure(self, tmp_path, capsys):
         # corpus/schedule that cannot reach the target: a single possible

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from graphstitch import sampling
 from graphstitch.errors import InvalidParameter
 from graphstitch.graphs import Graph, is_connected
 from graphstitch.sampling import (build_corpus, corpus_stats, local_pairs,
@@ -27,11 +28,10 @@ class TestRequiredSampleCount:
         assert required_sample_count(100, 20, 0.05) == 345
 
     def test_formula_matches_direct_evaluation(self):
-        for n, k, delta, c in [(50, 5, 0.1, 1.0), (1000, 14, 0.05, 1.0),
-                               (30, 30, 0.5, 2.0)]:
-            expect = max(1, math.ceil(c * (n / k) ** 2 * math.log(n)
+        for n, k, delta in [(50, 5, 0.1), (1000, 14, 0.05), (30, 30, 0.5)]:
+            expect = max(1, math.ceil((n / k) ** 2 * math.log(n)
                                       * math.log(1 / delta)))
-            assert required_sample_count(n, k, delta, c) == expect
+            assert required_sample_count(n, k, delta) == expect
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
@@ -135,9 +135,10 @@ class TestBuildCorpus:
         assert sorted(map(tuple, raw_ids)) == sorted(map(tuple, shuf_ids))
         assert raw_ids != shuf_ids
 
-    def test_unif_cap(self):
+    def test_unif_cap(self, monkeypatch):
+        monkeypatch.setattr(sampling, "UNIF_CAP", 50)
         g = path_graph(60)
-        corpus = build_corpus(g, "Unif", k=3, seed=0, max_count=50)
+        corpus = build_corpus(g, "Unif", k=3, seed=0)
         assert len(corpus) == 50
 
     def test_unknown_scheme(self):
