@@ -15,8 +15,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
+# scipy.sparse is imported inside _scatter_matrix, the one function that
+# uses it, so commands that never train do not load it (see graphs)
 from .diffusion import forward_noise
 from .errors import InvalidParameter
 from .rng import substream
@@ -51,19 +52,38 @@ class DenoiserSettings:
     learning_rate: float = 3e-3
     freeze_node_ids: bool = False
 
+    def validate(self):
+        """InvalidParameter naming the first setting out of range."""
+        if self.steps < 0:
+            raise InvalidParameter("denoiser steps must be >= 0")
+        for name in ("batch", "h", "L"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(f"denoiser {name} must be >= 1")
+        if self.learning_rate <= 0:
+            raise InvalidParameter("denoiser learning_rate must be > 0")
+        if self.lam < 0:
+            raise InvalidParameter("denoiser lambda must be >= 0")
+
 
 @dataclass
 class TrainConfig(DenoiserSettings):
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise InvalidParameter("steps must be >= 0")
-        for name in ("batch", "h", "L"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1")
-        if self.learning_rate <= 0 or self.lam < 0:
-            raise InvalidParameter("learning_rate must be > 0 and lam >= 0")
+        self.validate()
+
+
+def _tensor_shapes(n, h, L):
+    """Shape of each tensor of a network on n node IDs with width h and L
+    message-passing layers, by key."""
+    shapes = {"node_embed": (n, h), "time_w": (TIME_FEATURES, h), "time_b": (h,)}
+    for l in range(L):
+        shapes.update({f"layer{l}.w_self": (h, h), f"layer{l}.w_msg": (h, h),
+                       f"layer{l}.w_ctx": (h, h), f"layer{l}.b": (h,)})
+    shapes.update({"node_head_w": (h, n), "node_head_b": (n,),
+                   "edge_head_w1": (2 * h + 2, h), "edge_head_b1": (h,),
+                   "edge_head_w2": (h, 2), "edge_head_b2": (2,)})
+    return shapes
 
 
 class DenoiserParams:
@@ -78,27 +98,19 @@ class DenoiserParams:
     @classmethod
     def init(cls, n, h, L, seed):
         rng = substream(seed, "denoiser-init")
-        t = {}
-        t["node_embed"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(n, h))
-        t["time_w"] = rng.normal(0.0, 1.0 / math.sqrt(TIME_FEATURES),
-                                size=(TIME_FEATURES, h))
-        t["time_b"] = np.zeros(h)
+        shapes = _tensor_shapes(n, h, L)
+        # biases and the output layers start at zero: uniform predictions at
+        # initialization. The edge head is a small MLP (a linear map of
+        # H_i + H_j cannot express pairwise interactions); its hidden layer
+        # is random so gradients reach it once the output layer moves off zero.
+        t = {key: np.zeros(shape) for key, shape in shapes.items()}
+        # the random weights in draw order, with std 1/sqrt(fan_in)
+        random = [("node_embed", h), ("time_w", TIME_FEATURES)]
         for l in range(L):
-            t[f"layer{l}.w_self"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, h))
-            t[f"layer{l}.w_msg"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, h))
-            t[f"layer{l}.w_ctx"] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, h))
-            t[f"layer{l}.b"] = np.zeros(h)
-        # zero output layers: uniform predictions at initialization. The
-        # edge head is a small MLP (a linear map of H_i + H_j cannot express
-        # pairwise interactions); its hidden layer stays random so gradients
-        # reach it once the output layer moves off zero.
-        t["node_head_w"] = np.zeros((h, n))
-        t["node_head_b"] = np.zeros(n)
-        t["edge_head_w1"] = rng.normal(0.0, 1.0 / math.sqrt(2 * h + 2),
-                                       size=(2 * h + 2, h))
-        t["edge_head_b1"] = np.zeros(h)
-        t["edge_head_w2"] = np.zeros((h, 2))
-        t["edge_head_b2"] = np.zeros(2)
+            random += [(f"layer{l}.{w}", h) for w in ("w_self", "w_msg", "w_ctx")]
+        random.append(("edge_head_w1", 2 * h + 2))
+        for key, fan_in in random:
+            t[key] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shapes[key])
         return cls(n, h, L, t)
 
     def zeros_like(self):
@@ -128,16 +140,42 @@ class DenoiserParams:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint written by save; InvalidParameter naming the file
+        unless its tensors are exactly those of its (n, h, L)."""
+        def bad(what):
+            return InvalidParameter(f"checkpoint {path}: {what}")
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise bad(f"not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise bad("not a JSON object")
         if obj.get("version") != 1:
-            raise InvalidParameter(f"unsupported checkpoint version {obj.get('version')!r}")
+            raise bad(f"unsupported version {obj.get('version')!r}")
         if obj.get("time_dim") != TIME_FEATURES:
-            raise InvalidParameter(f"checkpoint {path}: time_dim {obj.get('time_dim')!r}"
-                                   f" is not {TIME_FEATURES}")
-        tensors = {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-                   for k, spec in obj["tensors"].items()}
-        return cls(obj["n"], obj["h"], obj["L"], tensors)
+            raise bad(f"time_dim {obj.get('time_dim')!r} is not {TIME_FEATURES}")
+        sizes = [obj.get(key) for key in ("n", "h", "L")]
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise bad(f"n, h and L must be positive integers, got {sizes}")
+        shapes = _tensor_shapes(*sizes)
+        specs = obj.get("tensors")
+        if not isinstance(specs, dict) or specs.keys() != shapes.keys():
+            got = set(specs) if isinstance(specs, dict) else set()
+            raise bad(f"tensors missing {sorted(shapes.keys() - got)}, "
+                      f"unexpected {sorted(got - shapes.keys())}")
+        tensors = {}
+        for key, spec in specs.items():
+            shape = shapes[key]
+            try:
+                data = np.asarray(spec["data"], dtype=np.float64)
+                ok = tuple(spec["shape"]) == shape and data.size == math.prod(shape)
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise bad(f"tensor {key!r} is not {list(shape)} numbers")
+            tensors[key] = data.reshape(shape)
+        return cls(*sizes, tensors)
 
 
 def _time_features(t, T):
@@ -160,6 +198,7 @@ def _softmax_(z):
 def _scatter_matrix(index, size):
     """Sparse (size, len(index)) 0/1 matrix S: S @ V adds row q of V to row
     index[q], or to each row index[q, :] when index is 2-D."""
+    import scipy.sparse as sp
     index = np.asarray(index)
     m = len(index)
     r = index.size // m if m else 1

@@ -11,9 +11,10 @@ is its int64 pair code (`pair_codes`); every Graph keeps its sorted codes.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
+# scipy is imported inside the functions that compute with it: at module
+# level it would add about 0.3 s to the start of every CLI command, and most
+# commands never call them
 from .errors import InvalidNodeSet, ParseError
 
 
@@ -93,6 +94,7 @@ class Graph:
     def to_csr(self):
         """Symmetric 0/1 adjacency as scipy CSR (cached)."""
         if self._csr is None:
+            import scipy.sparse as sp
             data = np.ones(self._nbrs.size, dtype=np.int64)
             self._csr = sp.csr_matrix((data, self._nbrs, self._indptr),
                                       shape=(self.n, self.n))
@@ -243,6 +245,8 @@ def largest_connected_component(g, nodes=None):
     """Sorted node IDs of the largest component of the subgraph induced on
     `nodes` (default: all of g); ties break to the one containing the
     smallest node ID."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
     if nodes is None:
         if g.n < 1:
             raise ValueError("graph must have at least one node")

@@ -35,13 +35,21 @@ class EmbeddingModel:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
+def _in_sorted(a, x):
+    """Whether each entry of x occurs in the sorted array a."""
+    if not a.size:
+        return np.zeros(x.shape, dtype=bool)
+    return a[np.minimum(np.searchsorted(a, x), a.size - 1)] == x
+
+
 def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
     """`count` distinct node pairs that are not edges of g (batched rejection).
 
     Pairs come in draw order: a batch drops self-pairs, repeats within it
     (the first draw wins), edges of g and pairs chosen in earlier batches.
     """
-    chosen = np.empty(0, dtype=np.int64)
+    chosen = np.empty(0, dtype=np.int64)  # in draw order
+    seen = chosen  # the same codes, sorted
     draws = 0
     while chosen.size < count:
         if draws >= budget:
@@ -51,12 +59,18 @@ def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
         cand = rng.integers(0, g.n, size=(batch, 2))
         draws += batch
         codes = pair_codes(cand[:, 0], cand[:, 1], g.n)
-        first = np.sort(np.unique(codes, return_index=True)[1])
-        codes = codes[first]
-        # edge codes and earlier choices are disjoint, and both are unique
-        taken = np.concatenate([g.edge_codes, chosen])
-        keep = (cand[first, 0] != cand[first, 1]) & ~np.isin(codes, taken, assume_unique=True)
+        # stable: each code's first draw leads its repeats in sorted order
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        ok = np.ones(batch, dtype=bool)
+        ok[1:] = ranked[1:] != ranked[:-1]
+        ok &= (cand[:, 0] != cand[:, 1])[order]
+        ok &= ~_in_sorted(g.edge_codes, ranked) & ~_in_sorted(seen, ranked)
+        keep = np.zeros(batch, dtype=bool)
+        keep[order[ok]] = True
         chosen = np.concatenate([chosen, codes[keep][:count - chosen.size]])
+        added = ranked[ok]
+        seen = np.insert(seen, np.searchsorted(seen, added), added)
     return decode_pairs(chosen, g.n)
 
 

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
+# scipy is imported inside the functions that compute with it (see graphs)
 from .errors import DegenerateDegrees
 from .graphs import graph_summary, induced_subgraph, largest_connected_component
 
@@ -67,6 +66,7 @@ def count_squares(g):
     """Number of 4-cycles: half the sum over u<v of C(codegree(u,v), 2)."""
     if g.n < 4 or g.num_edges < 4:
         return 0
+    import scipy.sparse as sp
     A = g.to_csr()
     codeg = sp.triu(A @ A, k=1).tocoo().data
     paired = int((codeg * (codeg - 1) // 2).sum())
@@ -127,6 +127,7 @@ def power_law_exponent(g, d_min=1):
 def characteristic_path_length(g):
     """Mean shortest-path distance over ordered pairs of the largest
     connected component. NaN if the graph has no edges."""
+    from scipy.sparse import csgraph
     if g.num_edges == 0:
         return float("nan")
     comp = largest_connected_component(g)

@@ -18,7 +18,7 @@ from . import assembly, linkpred, metrics, sampling
 from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
                        write_loss_csv)
 from .diffusion import NoiseSchedule, build_schedule
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .graphs import graph_summary, load_edge_list_file, save_edge_list
 from .sbm import sbm_graph
 
@@ -63,11 +63,10 @@ class PipelineConfig:
             raise ConfigError("delta must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        dn = self.denoiser
-        if dn.steps < 0 or dn.batch < 1 or dn.h < 1 or dn.L < 1:
-            raise ConfigError("denoiser steps/batch/h/L out of range")
-        if dn.learning_rate <= 0 or dn.lam < 0:
-            raise ConfigError("denoiser learning_rate/lambda out of range")
+        try:
+            self.denoiser.validate()
+        except InvalidParameter as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 < self.assembly.target_fraction:
             raise ConfigError("assembly.target_fraction must be positive")
         if not 0.0 < self.eval.fraction <= 1.0:

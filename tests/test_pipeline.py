@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graphstitch import cli, pipeline
-from graphstitch.denoiser import DenoiserParams
-from graphstitch.errors import ConfigError
+from graphstitch.denoiser import DenoiserParams, TrainConfig
+from graphstitch.errors import ConfigError, InvalidParameter
 from graphstitch.graphs import load_edge_list_file, save_edge_list
 from graphstitch.sbm import sbm_graph
 
@@ -79,6 +79,15 @@ class TestConfig:
             pipeline.config_from_obj({"delta": 1.5})
         with pytest.raises(ConfigError):
             pipeline.config_from_obj({"denoiser": {"batch": 0}})
+
+    @pytest.mark.parametrize("key, val", [("batch", 0), ("steps", -1), ("h", 0),
+                                          ("L", 0), ("learning_rate", 0.0), ("lam", -1.0)])
+    def test_denoiser_bounds_one_message(self, key, val):
+        with pytest.raises(ConfigError) as from_config:
+            pipeline.config_from_obj({"denoiser": {key: val}})
+        with pytest.raises(InvalidParameter) as direct:
+            TrainConfig(**{key: val})
+        assert str(from_config.value) == str(direct.value)
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -274,6 +283,29 @@ class TestCLI:
         rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
         assert rc == 2
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "data", "truncated"])
+    def test_exit_code_2_on_mismatched_checkpoint(self, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        out.mkdir()
+        ckpt = out / "checkpoint.json"
+        DenoiserParams.init(5, 3, 1, seed=0).save(ckpt)
+        obj = json.loads(ckpt.read_text())
+        tensors = obj["tensors"]
+        if edit == "missing":
+            del tensors["layer0.w_msg"]
+        elif edit == "extra":
+            tensors["layer1.b"] = tensors["layer0.b"]
+        elif edit == "shape":
+            tensors["node_head_w"]["shape"] = [5, 3]
+        elif edit == "data":
+            tensors["node_embed"]["data"].pop()
+        text = json.dumps(obj)
+        ckpt.write_text(text[:len(text) // 2] if edit == "truncated" else text)
+        rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "checkpoint.json" in err
 
     def test_exit_code_3_on_runtime_failure(self, tmp_path, capsys):
         # corpus/schedule that cannot reach the target: a single possible
