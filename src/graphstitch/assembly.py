@@ -7,6 +7,7 @@ inserting the whole final subgraph (bounded overshoot), and abort if a long
 run of subgraphs contributes nothing new.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,11 @@ def generate_subgraph(params, sched, k, seed):
     keep = a != b
     edges = np.column_stack([a[keep], b[keep]])
     return SubgraphSample(Graph(int(uniq.size), edges), uniq, params.n)
+
+
+def edge_target(fraction, total):
+    """Edge count at `fraction` of `total`: ceil(fraction * total), at least 1."""
+    return max(1, math.ceil(fraction * total))
 
 
 def _union_loop(make_subgraph, n, thresholds):
@@ -124,6 +130,5 @@ def progressive_assemble(params, sched, fractions, total_edges, k, seed):
         raise InvalidParameter("fractions must be strictly increasing in (0, 1]")
     if total_edges < 1:
         raise InvalidParameter("total_edges must be >= 1")
-    thresholds = [max(1, int(np.ceil(f * total_edges))) for f in fr]
-    graphs, _ = _assemble(params, sched, thresholds, k, seed)
+    graphs, _ = _assemble(params, sched, [edge_target(f, total_edges) for f in fr], k, seed)
     return list(zip(fr, graphs))

@@ -16,6 +16,14 @@ import sys
 
 from . import pipeline
 from .errors import (ConfigError, InvalidNodeSet, InvalidParameter, ParseError)
+from .sampling import SCHEMES
+
+# argparse dests that are not config keys
+_NOT_KEYS = ("command", "config", "blocks", "block_size", "sizes", "p_in", "p_out")
+
+
+def float_list(text):
+    return [float(f) for f in text.split(",")]
 
 
 def _add_common(p):
@@ -34,7 +42,7 @@ def build_parser():
     p = sub.add_parser("sample", help="sample the training corpus")
     _add_common(p)
     p.add_argument("--dataset", help="edge-list file (overrides config)")
-    p.add_argument("--scheme", choices=["Unif", "RW", "Ego"], help="sampling scheme")
+    p.add_argument("--scheme", choices=SCHEMES, help="sampling scheme")
     p.add_argument("--k", type=int, help="subgraph size parameter")
     p.add_argument("--d", type=int, help="samples per node (RW/Ego)")
     p.add_argument("--count", type=int, help="uniform-scheme sample count")
@@ -43,19 +51,20 @@ def build_parser():
     p = sub.add_parser("train", help="train the denoiser on the corpus")
     _add_common(p)
     p.add_argument("--T", type=int, help="diffusion steps")
-    p.add_argument("--steps", type=int, help="optimizer steps")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--lambda", type=float, dest="lam", help="pair-loss weight")
-    p.add_argument("--h", type=int, help="hidden width")
-    p.add_argument("--layers", type=int, help="message-passing rounds")
+    p.add_argument("--steps", type=int, dest="denoiser.steps", help="optimizer steps")
+    p.add_argument("--batch", type=int, dest="denoiser.batch")
+    p.add_argument("--lr", type=float, dest="denoiser.lr", help="Adam learning rate")
+    p.add_argument("--lambda", type=float, dest="denoiser.lambda", help="pair-loss weight")
+    p.add_argument("--h", type=int, dest="denoiser.h", help="hidden width")
+    p.add_argument("--layers", type=int, dest="denoiser.layers",
+                   help="message-passing rounds")
 
     p = sub.add_parser("generate", help="assemble a synthetic graph")
     _add_common(p)
     p.add_argument("--dataset", help="edge-list file (overrides config)")
-    p.add_argument("--target-fraction", type=float, dest="target_fraction")
-    p.add_argument("--target-edges", type=int, dest="target_edges")
-    p.add_argument("--k-gen", type=int, dest="k_gen", help="generated subgraph size")
+    p.add_argument("--target-fraction", type=float, dest="assembly.target_fraction")
+    p.add_argument("--target-edges", type=int, dest="assembly.target_edges")
+    p.add_argument("--k-gen", type=int, dest="assembly.k_gen", help="generated subgraph size")
 
     p = sub.add_parser("eval", help="compare real vs synthetic statistics")
     _add_common(p)
@@ -64,15 +73,16 @@ def build_parser():
     p = sub.add_parser("linkpred", help="link-prediction utility test")
     _add_common(p)
     p.add_argument("--dataset", help="edge-list file (overrides config)")
-    p.add_argument("--fraction", type=float, help="held-out real edge fraction")
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, dest="embed_lr")
+    p.add_argument("--fraction", type=float, dest="eval.fraction",
+                   help="held-out real edge fraction")
+    p.add_argument("--embed-dim", type=int, dest="eval.h")
+    p.add_argument("--epochs", type=int, dest="eval.epochs")
+    p.add_argument("--lr", type=float, dest="eval.lr")
 
     p = sub.add_parser("progressive", help="snapshot stats while assembling")
     _add_common(p)
     p.add_argument("--dataset", help="edge-list file (overrides config)")
-    p.add_argument("--fractions", help="comma list, e.g. 0.1,0.2,...,1.0")
+    p.add_argument("--fractions", type=float_list, help="comma list, e.g. 0.1,0.2,...,1.0")
 
     p = sub.add_parser("fixture-sbm", help="write a stochastic block model dataset")
     _add_common(p)
@@ -86,29 +96,17 @@ def build_parser():
 
 
 def _build_config(args):
-    cfg = pipeline.load_config(args.config) if args.config \
-        else pipeline.PipelineConfig()
-    # argparse dest -> (config section, field); None is the top level
-    table = {dest: (None, dest) for dest in ("seed", "out", "dataset", "scheme",
-                                             "k", "d", "count", "delta", "T")}
-    table.update(
-        steps=("denoiser", "steps"), batch=("denoiser", "batch"),
-        lam=("denoiser", "lam"), h=("denoiser", "h"),
-        lr=("denoiser", "learning_rate"), layers=("denoiser", "L"),
-        target_fraction=("assembly", "target_fraction"),
-        target_edges=("assembly", "target_edges"), k_gen=("assembly", "k_gen"),
-        fraction=("eval", "fraction"), embed_dim=("eval", "h"),
-        epochs=("eval", "epochs"), embed_lr=("eval", "learning_rate"))
-    for dest, (section, name) in table.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            setattr(getattr(cfg, section) if section else cfg, name, val)
-    if getattr(args, "fractions", None) is not None:
-        try:
-            cfg.fractions = tuple(float(f) for f in args.fractions.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --fractions value {args.fractions!r}")
-    return cfg.validate()
+    """Each override flag's dest is the config key it sets, spelled as a config
+    file spells it: the given flags are written into the file's object (or
+    {}), which is then parsed once."""
+    obj = pipeline.read_json_object(args.config, "config") if args.config else {}
+    for key, val in vars(args).items():
+        if val is not None and key not in _NOT_KEYS:
+            section, _, name = key.rpartition(".")
+            into = obj.setdefault(section, {}) if section else obj
+            if isinstance(into, dict):  # otherwise config_from_obj names the section
+                into[name] = val
+    return pipeline.config_from_obj(obj)
 
 
 def main(argv=None):

@@ -56,27 +56,25 @@ class NoiseSchedule:
             return self.m_e
         raise InvalidParameter(f"which must be 'node' or 'edge', got {which!r}")
 
-    def to_obj(self):
-        return {"T": self.T,
-                "alpha_bar": self.alpha_bar.tolist(),
-                "m_X": self.m_x.tolist(),
-                "m_E": self.m_e.tolist()}
-
-    @classmethod
-    def from_obj(cls, obj):
-        ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
-        alpha = ab[1:] / ab[:-1]
-        return cls(int(obj["T"]), alpha, ab, obj["m_X"], obj["m_E"])
-
     def save(self, path):
+        obj = {"T": self.T, "alpha_bar": self.alpha_bar.tolist(),
+               "m_X": self.m_x.tolist(), "m_E": self.m_e.tolist()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
+            json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path):
+        """Read a schedule written by save; InvalidParameter naming the file
+        unless it is one."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+                ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
+                return cls(int(obj["T"]), ab[1:] / ab[:-1], ab, obj["m_X"], obj["m_E"])
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise InvalidParameter(
+                    f"schedule {path}: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass
@@ -261,9 +259,3 @@ def prior_sample(k, sched, seed):
     e = (rng.random(n_pairs) < sched.m_e[1]).astype(np.int8)
     return NoisySample(None, sched.T, x, e)
 
-
-__all__ = [
-    "NoiseSchedule", "NoisySample", "cosine_alpha_bar", "corpus_marginals",
-    "build_schedule", "transition_apply", "forward_noise", "posterior_step",
-    "reverse_step", "prior_sample",
-]

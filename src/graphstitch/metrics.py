@@ -164,12 +164,18 @@ def _fmt(val):
     return str(val)
 
 
+def report_csv(lead_columns, rows):
+    """CSV text of (lead values, StatsReport) rows under lead_columns plus
+    REPORT_COLUMNS; lead values are written with str()."""
+    lines = [",".join([*lead_columns, *REPORT_COLUMNS])]
+    for lead, rep in rows:
+        lines.append(",".join([*map(str, lead), *map(_fmt, rep.values())]))
+    return "\n".join(lines) + "\n"
+
+
 def comparison_csv(reports):
     """CSV text from an ordered {label: StatsReport} mapping."""
-    lines = ["label," + ",".join(REPORT_COLUMNS)]
-    for label, rep in reports.items():
-        lines.append(label + "," + ",".join(_fmt(v) for v in rep.values()))
-    return "\n".join(lines) + "\n"
+    return report_csv(["label"], (((label,), rep) for label, rep in reports.items()))
 
 
 def comparison_text(reports):

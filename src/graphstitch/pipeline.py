@@ -7,12 +7,9 @@ seed): re-running produces byte-identical files.
 """
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_args
-
-import numpy as np
+from typing import get_args, get_origin
 
 from . import assembly, linkpred, metrics, sampling
 from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
@@ -20,6 +17,7 @@ from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError, InvalidParameter
 from .graphs import graph_summary, load_edge_list_file, save_edge_list
+from .sampling import SCHEMES
 from .sbm import sbm_graph
 
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -52,11 +50,13 @@ class PipelineConfig:
     denoiser: DenoiserSettings = field(default_factory=DenoiserSettings)
     assembly: AssemblySettings = field(default_factory=AssemblySettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
-    fractions: tuple = DEFAULT_FRACTIONS
+    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
     seed: int = 0
     out: str = "out"
 
     def validate(self):
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.k < 1 or self.d < 1 or self.T < 1:
             raise ConfigError("k, d, and T must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -69,6 +69,10 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.assembly.target_fraction:
             raise ConfigError("assembly.target_fraction must be positive")
+        for key in ("target_edges", "k_gen"):
+            val = getattr(self.assembly, key)
+            if val is not None and val < 1:
+                raise ConfigError(f"assembly.{key} must be >= 1")
         if not 0.0 < self.eval.fraction <= 1.0:
             raise ConfigError("eval.fraction must be in (0, 1]")
         return self
@@ -79,7 +83,9 @@ _ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
 
 def _type_ok(typ, val):
     """Whether a JSON value fits a field annotation: ints pass for floats,
-    bools only for bools."""
+    bools only for bools, a list of numbers for a tuple of floats."""
+    if get_origin(typ) is tuple:
+        return isinstance(val, (list, tuple)) and all(_type_ok(float, v) for v in val)
     allowed = (get_args(typ) or (typ,)) + ((int,) if typ is float else ())
     return isinstance(val, allowed) and (bool in allowed or not isinstance(val, bool))
 
@@ -98,45 +104,44 @@ def _fill(cls, obj, where):
             val = _fill(types[name], val, key)
         elif not _type_ok(types[name], val):
             raise ConfigError(f"key {key!r} in {where} has the wrong type: {val!r}")
-        kwargs[name] = val
+        kwargs[name] = tuple(map(float, val)) if get_origin(types[name]) is tuple else val
     return cls(**kwargs)
 
 
 def config_from_obj(obj):
-    obj = dict(obj)
-    fractions = obj.pop("fractions", DEFAULT_FRACTIONS)
-    if not isinstance(fractions, (list, tuple)) or not all(
-            _type_ok(float, f) for f in fractions):
-        raise ConfigError(f"'fractions' must be a list of numbers, got {fractions!r}")
-    cfg = _fill(PipelineConfig, obj, "config")
-    cfg.fractions = tuple(float(f) for f in fractions)
-    return cfg.validate()
+    return _fill(PipelineConfig, obj, "config").validate()
 
 
-def load_config(path):
+def read_json_object(path, what):
+    """The JSON object in a file; ConfigError naming the file otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: {exc}")
+        raise ConfigError(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    return config_from_obj(obj)
+        raise ConfigError(f"{what} {path}: expected a JSON object")
+    return obj
 
 
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _outdir(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+def load_config(path):
+    return config_from_obj(read_json_object(path, "config"))
 
 
 def _path(cfg, name):
     return os.path.join(cfg.out, name)
+
+
+def _write(cfg, name, text):
+    """Write one output file; returns its path."""
+    path = _path(cfg, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _require_dataset(cfg):
@@ -148,7 +153,7 @@ def _require_dataset(cfg):
 def cmd_sample(cfg):
     """Build the training corpus; writes corpus.jsonl + stats sidecar."""
     g, report = _require_dataset(cfg)
-    _outdir(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     corpus = sampling.build_corpus(g, cfg.scheme, cfg.k, d=cfg.d, count=cfg.count,
                                    delta=cfg.delta, seed=cfg.seed)
     corpus_path = _path(cfg, "corpus.jsonl")
@@ -156,19 +161,20 @@ def cmd_sample(cfg):
     stats = sampling.corpus_stats(corpus)
     stats["self_loops_dropped"] = report.self_loops_dropped
     stats["duplicates_collapsed"] = report.duplicates_collapsed
-    stats_path = _path(cfg, "corpus_stats.json")
-    _write_json(stats_path, stats)
-    map_path = _path(cfg, "relabel_map.json")
-    _write_json(map_path, report.id_map.tolist() if report.id_map is not None else None)
-    return {"corpus": corpus_path, "stats": stats_path, "relabel_map": map_path}
+    id_map = report.id_map.tolist() if report.id_map is not None else None
+    return {"corpus": corpus_path,
+            "stats": _write(cfg, "corpus_stats.json", _json(stats)),
+            "relabel_map": _write(cfg, "relabel_map.json", _json(id_map))}
 
 
 def _read_corpus(cfg):
-    stats_path = _path(cfg, "corpus_stats.json")
-    with open(stats_path, "r", encoding="utf-8") as fh:
-        stats = json.load(fh)
-    return sampling.read_corpus_jsonl(_path(cfg, "corpus.jsonl"), stats["n_parent"],
-                                      stats["scheme"], stats["k"], stats["d"])
+    path = _path(cfg, "corpus_stats.json")
+    stats = read_json_object(path, "corpus stats")
+    try:
+        meta = [stats[key] for key in ("n_parent", "scheme", "k", "d")]
+    except KeyError as exc:
+        raise ConfigError(f"corpus stats {path}: missing key {exc}") from None
+    return sampling.read_corpus_jsonl(_path(cfg, "corpus.jsonl"), *meta)
 
 
 def cmd_train(cfg):
@@ -186,56 +192,45 @@ def cmd_train(cfg):
     return {"checkpoint": ckpt, "schedule": sched_path, "loss": loss_path}
 
 
-def _load_model(cfg):
-    params = DenoiserParams.load(_path(cfg, "checkpoint.json"))
-    sched = NoiseSchedule.load(_path(cfg, "schedule.json"))
-    return params, sched
-
-
-def _target_edges(cfg):
-    if cfg.assembly.target_edges is not None:
-        return int(cfg.assembly.target_edges)
-    real, _ = _require_dataset(cfg)
-    return max(1, math.ceil(cfg.assembly.target_fraction * real.num_edges))
+def _assembly_inputs(cfg):
+    """(params, schedule, target edge count, generated subgraph size) for an
+    assembly pass."""
+    ckpt, sched_path = _path(cfg, "checkpoint.json"), _path(cfg, "schedule.json")
+    params = DenoiserParams.load(ckpt)
+    sched = NoiseSchedule.load(sched_path)
+    if len(sched.m_x) != params.n:
+        raise InvalidParameter(f"schedule {sched_path} has {len(sched.m_x)} node "
+                               f"states but checkpoint {ckpt} has n={params.n}")
+    target = cfg.assembly.target_edges
+    if target is None:
+        real, _ = _require_dataset(cfg)
+        target = assembly.edge_target(cfg.assembly.target_fraction, real.num_edges)
+    k_gen = cfg.k if cfg.assembly.k_gen is None else cfg.assembly.k_gen
+    return params, sched, target, k_gen
 
 
 def cmd_generate(cfg):
     """Reverse-diffuse subgraphs and union them into synthetic.edgelist."""
-    params, sched = _load_model(cfg)
-    target = _target_edges(cfg)
-    k_gen = cfg.assembly.k_gen or cfg.k
+    params, sched, target, k_gen = _assembly_inputs(cfg)
     synth, acc = assembly.assemble(params, sched, target, k_gen, cfg.seed)
     synth_path = _path(cfg, "synthetic.edgelist")
     save_edge_list(synth, synth_path)
-    report_path = _path(cfg, "assembly_report.json")
-    _write_json(report_path, {
-        "subgraphs_used": acc.subgraphs_used,
-        "overshoot": acc.overshoot,
-        "edges": synth.num_edges,
-        "nodes_non_isolated": graph_summary(synth)[0],
-    })
-    return {"synthetic": synth_path, "report": report_path}
+    report = {"subgraphs_used": acc.subgraphs_used, "overshoot": acc.overshoot,
+              "edges": synth.num_edges, "nodes_non_isolated": graph_summary(synth)[0]}
+    return {"synthetic": synth_path,
+            "report": _write(cfg, "assembly_report.json", _json(report))}
 
 
 def cmd_eval(cfg):
     """Structural stats for real vs synthetic + comparison tables."""
     real, _ = _require_dataset(cfg)
     synth, _ = load_edge_list_file(_path(cfg, "synthetic.edgelist"))
-    real_rep = metrics.stats_report(real)
-    synth_rep = metrics.stats_report(synth)
-    paths = {}
-    for name, rep in (("real_stats", real_rep), ("synthetic_stats", synth_rep)):
-        p = _path(cfg, f"{name}.json")
-        _write_json(p, rep.to_dict())
-        paths[name] = p
-    reports = {"real": real_rep, "synthetic": synth_rep}
-    csv_path = _path(cfg, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(metrics.comparison_csv(reports))
-    txt_path = _path(cfg, "comparison.txt")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(metrics.comparison_text(reports))
-    paths.update(comparison_csv=csv_path, comparison_txt=txt_path)
+    reports = {"real": metrics.stats_report(real),
+               "synthetic": metrics.stats_report(synth)}
+    paths = {f"{label}_stats": _write(cfg, f"{label}_stats.json", _json(rep.to_dict()))
+             for label, rep in reports.items()}
+    paths["comparison_csv"] = _write(cfg, "comparison.csv", metrics.comparison_csv(reports))
+    paths["comparison_txt"] = _write(cfg, "comparison.txt", metrics.comparison_text(reports))
     return paths
 
 
@@ -249,40 +244,30 @@ def cmd_linkpred(cfg):
     model, _ = linkpred.train_link_predictor(synth, h=ev.h, epochs=ev.epochs,
                                              lr=ev.learning_rate, seed=cfg.seed)
     auc, ap = linkpred.evaluate(model, eval_set)
-    results = {"method": "embedding-dot", "dataset": os.path.basename(cfg.dataset),
+    dataset = os.path.basename(cfg.dataset)
+    results = {"method": "embedding-dot", "dataset": dataset,
                "auc": auc, "ap": ap, "seed": cfg.seed}
-    json_path = _path(cfg, "linkpred.json")
-    _write_json(json_path, results)
-    csv_path = _path(cfg, "linkpred.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("method,dataset,auc,ap,seed\n")
-        fh.write(f"embedding-dot,{results['dataset']},{auc!r},{ap!r},{cfg.seed}\n")
-    return {"results": json_path, "csv": csv_path}
+    csv = f"method,dataset,auc,ap,seed\nembedding-dot,{dataset},{auc!r},{ap!r},{cfg.seed}\n"
+    return {"results": _write(cfg, "linkpred.json", _json(results)),
+            "csv": _write(cfg, "linkpred.csv", csv)}
 
 
 def cmd_progressive(cfg):
     """One assembly pass snapshotted at each fraction of the target edge
     count; writes progressive.csv with the stats columns per snapshot."""
-    params, sched = _load_model(cfg)
-    total = _target_edges(cfg)
-    k_gen = cfg.assembly.k_gen or cfg.k
+    params, sched, total, k_gen = _assembly_inputs(cfg)
     snaps = assembly.progressive_assemble(params, sched, cfg.fractions, total,
                                           k_gen, cfg.seed)
-    csv_path = _path(cfg, "progressive.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("fraction,target_edges," + ",".join(metrics.REPORT_COLUMNS) + "\n")
-        for frac, g in snaps:
-            rep = metrics.stats_report(g)
-            cells = [metrics._fmt(v) for v in rep.values()]
-            fh.write(f"{frac!r},{max(1, math.ceil(frac * total))},"
-                     + ",".join(cells) + "\n")
-    return {"progressive": csv_path}
+    rows = (((frac, assembly.edge_target(frac, total)), metrics.stats_report(g))
+            for frac, g in snaps)
+    csv = metrics.report_csv(("fraction", "target_edges"), rows)
+    return {"progressive": _write(cfg, "progressive.csv", csv)}
 
 
 def cmd_fixture_sbm(cfg, block_sizes, p_in, p_out):
     """Write an SBM edge list to use as a self-contained dataset."""
     g = sbm_graph(block_sizes, p_in, p_out, seed=cfg.seed)
-    _outdir(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     path = _path(cfg, "sbm.edgelist")
     save_edge_list(g, path)
     return {"dataset": path}

@@ -180,17 +180,15 @@ def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0):
     Unif takes `count` samples (default: coverage bound capped at
     UNIF_CAP); RW and Ego take d samples per node.
     """
-    name = {"unif": "Unif", "uniform": "Unif", "rw": "RW",
-            "random_walk": "RW", "ego": "Ego"}.get(str(scheme).lower())
-    if name is None:
+    if scheme not in SCHEMES:
         raise InvalidParameter(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if g.n == 0:
         raise InvalidParameter("cannot sample a corpus from a graph with no nodes")
-    if name == "Unif":
+    if scheme == "Unif":
         if count is None:
             count = min(required_sample_count(g.n, k, delta), UNIF_CAP)
         corpus = sample_uniform(g, k, count, seed=seed)
-    elif name == "RW":
+    elif scheme == "RW":
         corpus = sample_random_walk(g, k, d, seed=seed)
     else:
         corpus = sample_ego(g, k, d, seed=seed)
@@ -199,33 +197,22 @@ def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0):
     return corpus
 
 
-def sample_to_obj(sample):
-    return {"ids": sample.id_map.tolist(),
-            "edges": sample.local.edge_array.tolist()}
-
-
-def sample_from_obj(obj, n_parent):
-    ids = np.asarray(obj["ids"], dtype=np.int64)
-    local = Graph(len(ids), obj["edges"])
-    return SubgraphSample(local, ids, n_parent)
-
-
 def write_corpus_jsonl(corpus, path):
     """One sample per line: {"edges": [[i,j],...], "ids": [...]}."""
     with open(path, "w", encoding="utf-8") as fh:
         for sample in corpus:
-            fh.write(json.dumps(sample_to_obj(sample), sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+            obj = {"edges": sample.local.edge_array.tolist(), "ids": sample.id_map.tolist()}
+            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_corpus_jsonl(path, n_parent, scheme, k, d=None):
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                samples.append(sample_from_obj(json.loads(line), n_parent))
+            if line.strip():
+                obj = json.loads(line)
+                ids = np.asarray(obj["ids"], dtype=np.int64)
+                samples.append(SubgraphSample(Graph(len(ids), obj["edges"]), ids, n_parent))
     return SampleCorpus(samples, scheme, k, d)
 
 

@@ -1,14 +1,18 @@
+import argparse
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from graphstitch import cli, pipeline
+from graphstitch import assembly, cli, pipeline
 from graphstitch.denoiser import DenoiserParams, TrainConfig
+from graphstitch.diffusion import NoiseSchedule
 from graphstitch.errors import ConfigError, InvalidParameter
 from graphstitch.graphs import load_edge_list_file, save_edge_list
+from graphstitch.sampling import SCHEMES
 from graphstitch.sbm import sbm_graph
 
 
@@ -122,6 +126,21 @@ class TestConfig:
         assert cfg.fractions == (0.5, 1.0) and cfg.denoiser.learning_rate == 1
         assert cfg.denoiser.freeze_node_ids is True
 
+    @pytest.mark.parametrize("key", ["target_edges", "k_gen"])
+    def test_assembly_sizes_checked_at_load(self, key):
+        for val in (0, -3):
+            with pytest.raises(ConfigError, match=f"assembly.{key}"):
+                pipeline.config_from_obj({"assembly": {key: val}})
+        cfg = pipeline.config_from_obj({"assembly": {key: 1}})
+        assert getattr(cfg.assembly, key) == 1
+
+    def test_scheme_names_are_exact(self):
+        for scheme in ("rw", "random_walk", "uniform", "ego", "EGO"):
+            with pytest.raises(ConfigError, match=re.escape(str(SCHEMES))):
+                pipeline.config_from_obj({"scheme": scheme})
+        for scheme in SCHEMES:
+            assert pipeline.config_from_obj({"scheme": scheme}).scheme == scheme
+
 
 class TestCommands:
     def test_sample(self, workdir):
@@ -183,6 +202,23 @@ class TestCommands:
         assert [r[0] for r in rows] == ["0.5", "1.0"]
         assert int(rows[0][3]) <= int(rows[1][3])  # num_edges monotone
 
+    def test_progressive_targets_are_the_snapshot_thresholds(self, workdir, monkeypatch):
+        seen = []
+        real_assemble = assembly._assemble
+
+        def spy(params, sched, thresholds, k, seed):
+            seen.append(list(thresholds))
+            return real_assemble(params, sched, thresholds, k, seed)
+
+        monkeypatch.setattr(assembly, "_assemble", spy)
+        cfg = workdir["cfg"]
+        paths = pipeline.cmd_progressive(cfg)
+        rows = [l.split(",") for l in open(paths["progressive"]).read().splitlines()[1:]]
+        total = load_edge_list_file(cfg.dataset)[0].num_edges
+        want = [assembly.edge_target(f, total) for f in cfg.fractions]
+        assert [int(r[1]) for r in rows] == want and seen == [want]
+        assert all(int(r[3]) >= int(r[1]) for r in rows)  # num_edges reached the target
+
     def test_rerun_byte_identical(self, workdir):
         out = workdir["cfg"].out
         before = {}
@@ -196,6 +232,19 @@ class TestCommands:
         pipeline.cmd_progressive(workdir["cfg"])
         for name, blob in before.items():
             assert open(os.path.join(out, name), "rb").read() == blob, name
+
+    def test_commands_print_nothing(self, workdir, tmp_path, capsys):
+        """stdout stays free for a caller that runs the commands in-process;
+        the files match the first run's in another output directory."""
+        cfg = dataclasses.replace(workdir["cfg"], out=str(tmp_path))
+        capsys.readouterr()
+        for name in ("sample", "train", "generate", "eval", "linkpred", "progressive"):
+            getattr(pipeline, f"cmd_{name}")(cfg)
+        assert capsys.readouterr().out == ""
+        first = workdir["cfg"].out
+        for name in os.listdir(first):
+            with open(os.path.join(first, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
     def test_fixture_sbm(self, tmp_path):
         cfg = pipeline.PipelineConfig(out=str(tmp_path / "fx"), seed=2)
@@ -306,6 +355,74 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "checkpoint.json" in err
+
+    @pytest.mark.parametrize("flag, key", [("--k-gen", "k_gen"),
+                                           ("--target-edges", "target_edges")])
+    def test_exit_code_2_on_assembly_size_below_1(self, tmp_path, capsys, flag, key):
+        assert cli.main(["generate", flag, "0", "--out", str(tmp_path)]) == 2
+        assert f"assembly.{key}" in capsys.readouterr().err
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"assembly": {key: 0}}))
+        assert cli.main(["generate", "--config", str(p)]) == 2
+        assert f"assembly.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X"])
+    def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        out.mkdir()
+        ckpt = out / "checkpoint.json"
+        DenoiserParams.init(5, 3, 1, seed=0).save(ckpt)
+        sched = out / "schedule.json"
+        n = 7 if edit == "m_X" else 5
+        NoiseSchedule(2, [0.5, 0.0], [1.0, 0.5, 0.0], np.full(n, 1 / n), [0.5, 0.5]).save(sched)
+        obj = json.loads(sched.read_text())
+        if edit == "truncated":
+            sched.write_text(sched.read_text()[:40])
+        elif edit == "missing":
+            del obj["m_E"]
+            sched.write_text(json.dumps(obj))
+        elif edit == "not_an_object":
+            sched.write_text(json.dumps([obj]))
+        rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(sched) in err
+        if edit == "m_X":
+            assert str(ckpt) in err
+
+    @pytest.mark.parametrize("text", ['{"n_parent": 5, "sch', '[1, 2]', '{"n_parent": 5}'])
+    def test_exit_code_2_on_bad_corpus_stats(self, tmp_path, capsys, text):
+        stats = tmp_path / "corpus_stats.json"
+        stats.write_text(text)
+        (tmp_path / "corpus.jsonl").write_text("")
+        assert cli.main(["train", "--out", str(tmp_path)]) == 2
+        assert str(stats) in capsys.readouterr().err
+
+    def test_scheme_choices_are_schemes(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flag = next(a for a in sub.choices["sample"]._actions if "--scheme" in a.option_strings)
+        assert tuple(flag.choices) == SCHEMES
+
+    def test_exit_code_2_on_malformed_fractions(self, capsys):
+        for text in ("0.5,half", "", "0.5,,1.0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["progressive", "--fractions", text])
+            assert exc.value.code == 2 and "--fractions" in capsys.readouterr().err
+
+    def test_flag_overrides_file_under_either_spelling(self, tmp_path):
+        p = tmp_path / "c.json"
+        for spelling in ("lr", "learning_rate"):
+            p.write_text(json.dumps({"k": 4, "denoiser": {spelling: 0.5, "h": 9}}))
+            args = cli.build_parser().parse_args(["train", "--config", str(p), "--lr", "0.1"])
+            cfg = cli._build_config(args)
+            assert (cfg.k, cfg.denoiser.h, cfg.denoiser.learning_rate) == (4, 9, 0.1)
+
+    def test_flag_into_malformed_section_names_it(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"denoiser": 5}))
+        assert cli.main(["train", "--config", str(p), "--steps", "3"]) == 2
+        assert "'denoiser'" in capsys.readouterr().err
 
     def test_exit_code_3_on_runtime_failure(self, tmp_path, capsys):
         # corpus/schedule that cannot reach the target: a single possible

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,10 +146,10 @@ class TestBuildCorpus:
         with pytest.raises(InvalidParameter):
             build_corpus(path_graph(5), "BFS", k=2)
 
-    def test_scheme_aliases(self):
-        g = path_graph(8)
-        assert build_corpus(g, "uniform", k=2, count=3).scheme == "Unif"
-        assert build_corpus(g, "ego", k=3, d=1).scheme == "Ego"
+    @pytest.mark.parametrize("scheme", ["rw", "uniform", "random_walk", "ego", "EGO"])
+    def test_scheme_names_are_exact(self, scheme):
+        with pytest.raises(InvalidParameter, match=re.escape(str(sampling.SCHEMES))):
+            build_corpus(path_graph(8), scheme, k=3, d=1, count=2)
 
 
 class TestSerialization:
