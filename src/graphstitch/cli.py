@@ -26,6 +26,10 @@ def float_list(text):
     return [float(f) for f in text.split(",")]
 
 
+def int_list(text):
+    return [int(s) for s in text.split(",")]
+
+
 def _add_common(p):
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--seed", type=int, help="root RNG seed (overrides config)")
@@ -88,7 +92,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--blocks", type=int, default=4, help="number of blocks")
     p.add_argument("--block-size", type=int, default=400, dest="block_size")
-    p.add_argument("--sizes", help="comma list of block sizes (overrides --blocks)")
+    p.add_argument("--sizes", type=int_list,
+                   help="comma list of block sizes (overrides --blocks)")
     p.add_argument("--p-in", type=float, default=0.15, dest="p_in")
     p.add_argument("--p-out", type=float, default=0.01, dest="p_out")
 
@@ -114,8 +119,7 @@ def main(argv=None):
     try:
         cfg = _build_config(args)
         if args.command == "fixture-sbm":
-            sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
-                else [args.block_size] * args.blocks
+            sizes = args.sizes or [args.block_size] * args.blocks
             paths = pipeline.cmd_fixture_sbm(cfg, sizes, args.p_in, args.p_out)
         else:
             paths = getattr(pipeline, f"cmd_{args.command}")(cfg)

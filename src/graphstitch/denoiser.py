@@ -210,45 +210,25 @@ class _Layout:
     """Index arrays of samples with sizes ks stacked as one disjoint union.
 
     Sample s owns node rows starts[s]:starts[s]+ks[s]; its pair rows follow
-    in local_pairs order with node indices offset by starts[s] (I < J). For
-    per-sample dense work, node v also has a row in a zero-padded
-    (B, kmax) layout: row[v] = seg[v] * kmax + pos[v].
+    in local_pairs order with node indices offset by starts[s] (I < J), so
+    (I, J) index the union's (N, N) adjacency directly.
     """
 
     def __init__(self, ks):
-        self.B = len(ks)
         self.N = sum(ks)
-        self.kmax = max(ks)
         starts = [0] + list(accumulate(ks[:-1]))
         self.ks = np.array(ks)
         self.starts = np.array(starts)
-        self.seg = np.repeat(np.arange(self.B), self.ks)
-        self.pos = np.arange(self.N) - self.starts[self.seg]
-        self.row = self.seg * self.kmax + self.pos
+        self.seg = np.repeat(np.arange(len(ks)), self.ks)
         self.I = np.concatenate([local_pairs(k)[0] + o for k, o in zip(ks, starts)])
         self.J = np.concatenate([local_pairs(k)[1] + o for k, o in zip(ks, starts)])
-        for arr in (self.ks, self.starts, self.seg, self.pos, self.row, self.I, self.J):
+        for arr in (self.ks, self.starts, self.seg, self.I, self.J):
             arr.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
 def _layout(ks):
     return _Layout(ks)
-
-
-def _pad(X, lay):
-    """Stacked rows -> (B, kmax, width), zero rows past each sample's end."""
-    if lay.N == lay.B * lay.kmax:
-        return X.reshape(lay.B, lay.kmax, -1)
-    out = np.zeros((lay.B * lay.kmax, X.shape[1]))
-    out[lay.row] = X
-    return out.reshape(lay.B, lay.kmax, -1)
-
-
-def _unpad(Y, lay):
-    """(B, kmax, width) -> stacked rows; inverse of _pad."""
-    Y = Y.reshape(-1, Y.shape[2])
-    return Y if lay.N == lay.B * lay.kmax else Y[lay.row]
 
 
 def _forward(params, block, sched, work=None):
@@ -261,7 +241,7 @@ def _forward(params, block, sched, work=None):
     t = params.tensors
     h = params.h
     lay = _layout(tuple(s.k for s in block))
-    B, N, kmax, seg, row, I, J = lay.B, lay.N, lay.kmax, lay.seg, lay.row, lay.I, lay.J
+    N, seg, I, J = lay.N, lay.seg, lay.I, lay.J
     x_t = np.concatenate([s.x_t for s in block])
     e_t = np.concatenate([s.e_t for s in block]).astype(np.int64)
 
@@ -269,19 +249,19 @@ def _forward(params, block, sched, work=None):
     tv = feats @ t["time_w"] + t["time_b"]
     H = t["node_embed"][x_t] + tv[seg]
 
-    # per-sample row-normalized adjacency, padded: (P @ H)[i] is the mean of
-    # H over i's neighbours (zero for isolated nodes)
-    P = np.zeros((B * kmax, kmax))
+    # row-normalized adjacency of the block's disjoint union, zero outside
+    # each sample's diagonal block: (P @ H)[i] is the mean of H over i's
+    # neighbours (zero for isolated nodes)
+    P = np.zeros((N, N))
     present = e_t == 1
-    P[row[I[present]], lay.pos[J[present]]] = 1.0
-    P[row[J[present]], lay.pos[I[present]]] = 1.0
+    P[I[present], J[present]] = 1.0
+    P[J[present], I[present]] = 1.0
     P /= np.maximum(P.sum(axis=1), 1.0)[:, None]
-    P = P.reshape(B, kmax, kmax)
 
     layers = []
     for l in range(params.L):
         H_in = H
-        M = _unpad(P @ _pad(H_in, lay), lay)
+        M = P @ H_in
         c = np.add.reduceat(H_in, lay.starts, axis=0) / lay.ks[:, None]
         U = H_in @ t[f"layer{l}.w_self"]
         U += M @ t[f"layer{l}.w_msg"]
@@ -393,7 +373,6 @@ def _backward(params, cache, x_clean, e_clean, lam, grads):
         dH += dHa @ np.concatenate([wa, wb], axis=1).T
         dH += dHb @ np.concatenate([wb, wa], axis=1).T
 
-    PT = cache["P"].transpose(0, 2, 1)
     for l in reversed(range(params.L)):
         H_in, M, c, H_out = cache["layers"][l]
         dU = dH * (1.0 - H_out * H_out)
@@ -404,7 +383,7 @@ def _backward(params, cache, x_clean, e_clean, lam, grads):
         grads[f"layer{l}.b"] += dU_sum.sum(axis=0)
         dc = dU_sum @ t[f"layer{l}.w_ctx"].T
         dH = dU @ t[f"layer{l}.w_self"].T
-        dH += _unpad(PT @ _pad(dU @ t[f"layer{l}.w_msg"].T, lay), lay)
+        dH += cache["P"].T @ (dU @ t[f"layer{l}.w_msg"].T)
         dH += (dc / lay.ks[:, None])[lay.seg]
 
     grads["node_embed"] += _scatter_matrix(cache["x_t"], params.n) @ dH

@@ -161,10 +161,9 @@ def cmd_sample(cfg):
     stats = sampling.corpus_stats(corpus)
     stats["self_loops_dropped"] = report.self_loops_dropped
     stats["duplicates_collapsed"] = report.duplicates_collapsed
-    id_map = report.id_map.tolist() if report.id_map is not None else None
     return {"corpus": corpus_path,
             "stats": _write(cfg, "corpus_stats.json", _json(stats)),
-            "relabel_map": _write(cfg, "relabel_map.json", _json(id_map))}
+            "relabel_map": _write(cfg, "relabel_map.json", _json(report.id_map.tolist()))}
 
 
 def _read_corpus(cfg):
@@ -174,6 +173,9 @@ def _read_corpus(cfg):
         meta = [stats[key] for key in ("n_parent", "scheme", "k", "d")]
     except KeyError as exc:
         raise ConfigError(f"corpus stats {path}: missing key {exc}") from None
+    if type(meta[0]) is not int or meta[0] < 1:
+        raise ConfigError(f"corpus stats {path}: n_parent must be a positive integer, "
+                          f"got {meta[0]!r}")
     return sampling.read_corpus_jsonl(_path(cfg, "corpus.jsonl"), *meta)
 
 

@@ -205,14 +205,48 @@ def write_corpus_jsonl(corpus, path):
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _sample_from_json(line, n_parent):
+    """The SubgraphSample one corpus.jsonl line holds; InvalidParameter
+    saying what is wrong with the line otherwise."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"not JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise InvalidParameter("not a JSON object")
+    missing = [key for key in ("edges", "ids") if key not in obj]
+    if missing:
+        raise InvalidParameter(f"missing {missing}")
+    ids, edges = obj["ids"], obj["edges"]
+    if not (isinstance(ids, list) and ids and all(type(v) is int for v in ids)
+            and ids == sorted(set(ids)) and ids[0] >= 0 and ids[-1] < n_parent):
+        raise InvalidParameter(f"ids must be strictly increasing ints in [0, {n_parent})")
+    try:
+        edges = np.asarray(edges) if isinstance(edges, list) else None
+    except ValueError:  # a ragged list
+        edges = None
+    if edges is None or edges.size and (edges.dtype.kind != "i" or edges.shape[1:] != (2,)):
+        raise InvalidParameter("edges must be a list of [i, j] int pairs")
+    try:
+        return SubgraphSample(Graph(len(ids), edges), np.array(ids, dtype=np.int64), n_parent)
+    except ValueError as exc:  # an endpoint out of range, or a self-loop
+        raise InvalidParameter(f"edges: {exc}") from None
+
+
 def read_corpus_jsonl(path, n_parent, scheme, k, d=None):
+    """Read a corpus written by write_corpus_jsonl; InvalidParameter naming
+    the file and the line unless every line holds a sample of a graph on
+    n_parent nodes and there is at least one."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for num, line in enumerate(fh, 1):
             if line.strip():
-                obj = json.loads(line)
-                ids = np.asarray(obj["ids"], dtype=np.int64)
-                samples.append(SubgraphSample(Graph(len(ids), obj["edges"]), ids, n_parent))
+                try:
+                    samples.append(_sample_from_json(line, n_parent))
+                except InvalidParameter as exc:
+                    raise InvalidParameter(f"corpus {path} line {num}: {exc}") from None
+    if not samples:
+        raise InvalidParameter(f"corpus {path}: no samples")
     return SampleCorpus(samples, scheme, k, d)
 
 

@@ -9,7 +9,7 @@ from graphstitch.denoiser import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_SAMPLE
                                   SAVE_CHUNK, TIME_FEATURES, DenoiserParams,
                                   DenoiserSettings, TrainConfig, grad, loss,
                                   predict, train, write_loss_csv,
-                                  _adam_update, _loss_and_grad)
+                                  _adam_update, _forward, _loss_and_grad)
 from graphstitch.diffusion import build_schedule, forward_noise, NoisySample
 from graphstitch.errors import InvalidParameter
 from graphstitch.graphs import Graph, induced_subgraph
@@ -213,6 +213,34 @@ class TestBlockedMatchesOracle:
             assert rel_err(p_x, q_x) <= 1e-12
             if q_e.size:
                 assert rel_err(p_e, q_e) <= 1e-12
+
+
+class TestBlockIndependence:
+    """Samples share a block's adjacency but not its entries: a wrong offset
+    would leak one sample's pair states into another's rows."""
+
+    @pytest.mark.parametrize("pick", ["equal", "mixed"])
+    def test_other_samples_rows_unchanged(self, pick):
+        params, batch, sched = mixed_size_batch()
+        # mixed: k = 1, 2, 12, 20, the last with every pair absent, so the
+        # block holds isolated nodes
+        block = [s for s in batch if s.k == 12] if pick == "equal" else batch[:4]
+        assert len({s.k for s in block}) == (1 if pick == "equal" else 4)
+        node_lo = np.cumsum([0] + [s.k for s in block])
+        pair_lo = np.cumsum([0] + [s.e_t.size for s in block])
+        p_x, p_e, _ = _forward(params, block, sched)
+        for s, noisy in enumerate(block):
+            if not noisy.e_t.size:
+                continue
+            changed = list(block)
+            changed[s] = NoisySample(noisy.base, noisy.t, noisy.x_t, 1 - noisy.e_t)
+            q_x, q_e, _ = _forward(params, changed, sched)
+            for r in range(len(block)):
+                nodes = slice(node_lo[r], node_lo[r + 1])
+                pairs = slice(pair_lo[r], pair_lo[r + 1])
+                same = (np.array_equal(q_x[nodes], p_x[nodes])
+                        and np.array_equal(q_e[pairs], p_e[pairs]))
+                assert same == (r != s), (s, r)
 
 
 class TestAdam:

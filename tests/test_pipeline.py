@@ -390,13 +390,47 @@ class TestCLI:
         if edit == "m_X":
             assert str(ckpt) in err
 
-    @pytest.mark.parametrize("text", ['{"n_parent": 5, "sch', '[1, 2]', '{"n_parent": 5}'])
+    @pytest.mark.parametrize("text", ['{"n_parent": 5, "sch', '[1, 2]', '{"n_parent": 5}',
+                                      '{"n_parent": 0, "scheme": "RW", "k": 2, "d": 1}',
+                                      '{"n_parent": "5", "scheme": "RW", "k": 2, "d": 1}'])
     def test_exit_code_2_on_bad_corpus_stats(self, tmp_path, capsys, text):
         stats = tmp_path / "corpus_stats.json"
         stats.write_text(text)
         (tmp_path / "corpus.jsonl").write_text("")
         assert cli.main(["train", "--out", str(tmp_path)]) == 2
         assert str(stats) in capsys.readouterr().err
+
+    GOOD_LINE = '{"edges": [[0, 1]], "ids": [3, 7]}\n'
+
+    @pytest.mark.parametrize("text, line", [
+        (GOOD_LINE + '{"edges": [[0, 1]], "ids": [3', 2),  # truncated
+        ("", None),  # no samples
+        ("\n\n", None),
+        ("[[0, 1]]\n", 1),
+        (GOOD_LINE + '{"ids": [0, 1]}\n', 2),
+        ('{"edges": []}\n', 1),
+        ('{"edges": [[0, 1]], "ids": [0, 99]}\n', 1),  # an ID past n_parent
+        ('{"edges": [], "ids": [-1, 2]}\n', 1),
+        ('{"edges": [], "ids": [4, 2]}\n', 1),
+        ('{"edges": [], "ids": [2, 2]}\n', 1),
+        ('{"edges": [], "ids": [0, 1.5]}\n', 1),
+        ('{"edges": [], "ids": []}\n', 1),
+        ('{"edges": [[0, 2]], "ids": [0, 1]}\n', 1),  # an endpoint past k
+        ('{"edges": [[1, 1]], "ids": [0, 1]}\n', 1),  # a self-loop
+        ('{"edges": [[0, 1, 1]], "ids": [0, 1, 2]}\n', 1),
+        ('{"edges": [[0, "1"]], "ids": [0, 1]}\n', 1),
+        ('{"edges": [[0, 1], [2]], "ids": [0, 1, 2]}\n', 1),
+    ])
+    def test_exit_code_2_on_bad_corpus(self, tmp_path, capsys, text, line):
+        stats = {"n_parent": 20, "scheme": "RW", "k": 3, "d": 1}
+        (tmp_path / "corpus_stats.json").write_text(json.dumps(stats))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text)
+        assert cli.main(["train", "--steps", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus) in err
+        if line is not None:
+            assert f"line {line}:" in err
 
     def test_scheme_choices_are_schemes(self):
         sub = next(a for a in cli.build_parser()._actions
@@ -409,6 +443,12 @@ class TestCLI:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["progressive", "--fractions", text])
             assert exc.value.code == 2 and "--fractions" in capsys.readouterr().err
+
+    def test_exit_code_2_on_malformed_sizes(self, capsys):
+        for text in ("5,x", "", "5,,6", "5.5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["fixture-sbm", "--sizes", text])
+            assert exc.value.code == 2 and "--sizes" in capsys.readouterr().err
 
     def test_flag_overrides_file_under_either_spelling(self, tmp_path):
         p = tmp_path / "c.json"
