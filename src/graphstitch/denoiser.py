@@ -8,6 +8,7 @@ The heads' output layers start at zero so the untrained network predicts
 the uniform distribution everywhere.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ ADAM_EPS = 1e-8
 # loop's with 8 samples and 8 MB above with 16, which was 10-20% faster.
 BLOCK_SAMPLES = 8
 
-SAVE_CHUNK = 4096  # numbers per json.dumps call when writing a checkpoint
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -116,32 +117,21 @@ class DenoiserParams:
     def zeros_like(self):
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def copy(self):
-        return DenoiserParams(self.n, self.h, self.L,
-                              {k: v.copy() for k, v in self.tensors.items()})
-
     def save(self, path):
-        """Write the bytes json.dump(obj, fh, sort_keys=True) plus a newline
-        would, through the C encoder, SAVE_CHUNK numbers at a time (json.dump
-        runs the pure-Python encoder over the whole object)."""
-        head = json.dumps({"L": self.L, "h": self.h, "n": self.n}, sort_keys=True)
-        tail = json.dumps({"time_dim": TIME_FEATURES, "version": 1}, sort_keys=True)
+        """Write the sizes and, per tensor, its shape and the base64 of its
+        little-endian float64 bytes, which load reads back bit for bit."""
+        tensors = {key: {"shape": list(v.shape),
+                         "data": base64.b64encode(v.astype("<f8").tobytes()).decode()}
+                   for key, v in self.tensors.items()}
+        obj = {"L": self.L, "h": self.h, "n": self.n, "tensors": tensors,
+               "time_dim": TIME_FEATURES, "version": CHECKPOINT_VERSION}
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head[:-1] + ', "tensors": {')
-            for i, key in enumerate(sorted(self.tensors)):
-                data = self.tensors[key].ravel()
-                fh.write(f'{", " if i else ""}{json.dumps(key)}: {{"data": [')
-                for lo in range(0, data.size, SAVE_CHUNK):
-                    chunk = json.dumps(data[lo:lo + SAVE_CHUNK].tolist())[1:-1]
-                    fh.write(", " + chunk if lo else chunk)
-                shape = json.dumps(list(self.tensors[key].shape))
-                fh.write(f'], "shape": {shape}}}')
-            fh.write("}, " + tail[1:] + "\n")
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
         """Read a checkpoint written by save; InvalidParameter naming the file
-        unless its tensors are exactly those of its (n, h, L)."""
+        unless its tensors are exactly those of its (n, h, L), all finite."""
         def bad(what):
             return InvalidParameter(f"checkpoint {path}: {what}")
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,8 +141,9 @@ class DenoiserParams:
                 raise bad(f"not JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise bad("not a JSON object")
-        if obj.get("version") != 1:
-            raise bad(f"unsupported version {obj.get('version')!r}")
+        if obj.get("version") != CHECKPOINT_VERSION:
+            raise bad(f"version {obj.get('version')!r} is not {CHECKPOINT_VERSION}; "
+                      "re-run train to rewrite it")
         if obj.get("time_dim") != TIME_FEATURES:
             raise bad(f"time_dim {obj.get('time_dim')!r} is not {TIME_FEATURES}")
         sizes = [obj.get(key) for key in ("n", "h", "L")]
@@ -167,14 +158,16 @@ class DenoiserParams:
         tensors = {}
         for key, spec in specs.items():
             shape = shapes[key]
-            try:
-                data = np.asarray(spec["data"], dtype=np.float64)
-                ok = tuple(spec["shape"]) == shape and data.size == math.prod(shape)
+            try:  # binascii.Error, raised on bad base64, is a ValueError
+                raw = base64.b64decode(spec["data"], validate=True)
+                ok = tuple(spec["shape"]) == shape and len(raw) == 8 * math.prod(shape)
             except (KeyError, TypeError, ValueError):
                 ok = False
             if not ok:
-                raise bad(f"tensor {key!r} is not {list(shape)} numbers")
-            tensors[key] = data.reshape(shape)
+                raise bad(f"tensor {key!r} is not the base64 of {list(shape)} float64s")
+            tensors[key] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+            if not np.isfinite(tensors[key]).all():
+                raise bad(f"tensor {key!r} has non-finite values")
         return cls(*sizes, tensors)
 
 

@@ -41,6 +41,10 @@ class NoiseSchedule:
         self.m_e = np.asarray(self.m_e, dtype=np.float64)
         if self.T < 1 or len(self.alpha) != self.T or len(self.alpha_bar) != self.T + 1:
             raise InvalidParameter("schedule arrays inconsistent with T")
+        if not all(((a >= 0) & (a <= 1)).all() for a in (self.alpha, self.alpha_bar)):
+            raise InvalidParameter("alpha and alpha_bar must be finite and within [0, 1]")
+        if not (self.alpha_bar[:-1] > 0).all():
+            raise InvalidParameter("alpha_bar must be positive before its last entry")
         if not np.isclose(self.alpha_bar[0], 1.0):
             raise InvalidParameter("alpha_bar must start at 1")
         if (np.diff(self.alpha_bar) > 1e-12).any():
@@ -71,7 +75,9 @@ class NoiseSchedule:
             try:
                 obj = json.load(fh)
                 ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
-                return cls(int(obj["T"]), ab[1:] / ab[:-1], ab, obj["m_X"], obj["m_E"])
+                with np.errstate(all="ignore"):  # the constructor rejects what warns
+                    alpha = ab[1:] / ab[:-1]
+                return cls(int(obj["T"]), alpha, ab, obj["m_X"], obj["m_E"])
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise InvalidParameter(
                     f"schedule {path}: {type(exc).__name__}: {exc}") from None

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -6,9 +7,8 @@ import pytest
 
 import denoiser_oracle as oracle
 from graphstitch.denoiser import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_SAMPLES,
-                                  SAVE_CHUNK, TIME_FEATURES, DenoiserParams,
-                                  DenoiserSettings, TrainConfig, grad, loss,
-                                  predict, train, write_loss_csv,
+                                  DenoiserParams, DenoiserSettings, TrainConfig,
+                                  grad, loss, predict, train, write_loss_csv,
                                   _adam_update, _forward, _loss_and_grad)
 from graphstitch.diffusion import build_schedule, forward_noise, NoisySample
 from graphstitch.errors import InvalidParameter
@@ -325,26 +325,26 @@ class TestCheckpoint:
         DenoiserParams.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_save_bytes_match_json_dump(self, tmp_path):
-        # node_embed spans more than one SAVE_CHUNK
-        params = DenoiserParams.init(SAVE_CHUNK // 3 + 5, 3, 1, seed=0)
-        assert params.tensors["node_embed"].size > SAVE_CHUNK
-        awkward = np.array([-1.5, 5e-324, -2.2e-308, 1e-300, 2.0, -0.0, 0.0,
+    def test_roundtrip_bit_exact(self, tmp_path):
+        params = DenoiserParams.init(7, 3, 1, seed=0)
+        awkward = np.array([-1.5, 5e-324, -2.2e-308, 1e-300, 2.0, -0.0, 0.0, -5e-324,
                             1e16, 123456789.0, 0.1, -7.0, 1.7976931348623157e308])
+        for tensor in params.tensors.values():
+            tensor.ravel()[:] = np.resize(awkward, tensor.size)
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        params.save(a)
+        obj = json.loads(a.read_text())
+        assert obj["version"] == 2
+        assert base64.b64decode(obj["tensors"]["node_embed"]["data"]) == \
+            params.tensors["node_embed"].astype("<f8").tobytes()
+        back = DenoiserParams.load(a)
+        assert back.tensors.keys() == params.tensors.keys()
         for key, tensor in params.tensors.items():
-            flat = tensor.ravel()
-            flat[:] = np.resize(awkward, flat.size)
-        path = tmp_path / "ckpt.json"
-        params.save(path)
-        obj = {"version": 1, "n": params.n, "h": params.h, "L": params.L,
-               "time_dim": TIME_FEATURES,
-               "tensors": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-                           for k, v in params.tensors.items()}}
-        ref = tmp_path / "ref.json"
-        with open(ref, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
-        assert path.read_bytes() == ref.read_bytes()
+            assert back.tensors[key].shape == tensor.shape
+            assert back.tensors[key].tobytes() == tensor.tobytes()
+        back.save(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"

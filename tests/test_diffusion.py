@@ -95,6 +95,8 @@ class TestSchedule:
             build_schedule(0, toy_corpus())
         with pytest.raises(InvalidParameter):
             NoiseSchedule(1, [0.5], [1.0, 0.5], [0.5, 0.6], [0.5, 0.5])
+        with pytest.raises(InvalidParameter, match="positive before its last entry"):
+            NoiseSchedule(2, [0.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5], [0.5, 0.5])
 
 
 class TestTransitionApply:

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import dataclasses
 import json
 import os
@@ -333,7 +334,8 @@ class TestCLI:
         assert rc == 2
         assert str(ckpt) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "data", "truncated"])
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "data", "truncated",
+                                      "not_base64", "short_bytes", "nan", "version_1"])
     def test_exit_code_2_on_mismatched_checkpoint(self, tmp_path, capsys, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -341,20 +343,36 @@ class TestCLI:
         DenoiserParams.init(5, 3, 1, seed=0).save(ckpt)
         obj = json.loads(ckpt.read_text())
         tensors = obj["tensors"]
+        raw = base64.b64decode(tensors["node_embed"]["data"])
         if edit == "missing":
             del tensors["layer0.w_msg"]
         elif edit == "extra":
             tensors["layer1.b"] = tensors["layer0.b"]
         elif edit == "shape":
             tensors["node_head_w"]["shape"] = [5, 3]
-        elif edit == "data":
-            tensors["node_embed"]["data"].pop()
+        elif edit == "data":  # one float64 short
+            tensors["node_embed"]["data"] = base64.b64encode(raw[:-8]).decode()
+        elif edit == "not_base64":  # a decoder that skips stray characters would accept it
+            data = tensors["node_embed"]["data"]
+            tensors["node_embed"]["data"] = data[:8] + "*" + data[8:]
+        elif edit == "short_bytes":
+            tensors["node_embed"]["data"] = base64.b64encode(raw[:-3]).decode()
+        elif edit == "nan":
+            values = np.frombuffer(raw, "<f8").copy()
+            values[4] = np.nan
+            tensors["node_embed"]["data"] = base64.b64encode(values.tobytes()).decode()
+        elif edit == "version_1":
+            obj["version"] = 1
         text = json.dumps(obj)
         ckpt.write_text(text[:len(text) // 2] if edit == "truncated" else text)
         rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "checkpoint.json" in err
+        if edit == "nan":
+            assert "node_embed" in err and "non-finite" in err
+        if edit == "version_1":
+            assert "re-run train" in err
 
     @pytest.mark.parametrize("flag, key", [("--k-gen", "k_gen"),
                                            ("--target-edges", "target_edges")])
@@ -366,8 +384,14 @@ class TestCLI:
         assert cli.main(["generate", "--config", str(p)]) == 2
         assert f"assembly.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X"])
-    def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, edit):
+    BAD_ALPHA_BAR = {"alpha_bar_negative": [1.0, -0.5, -1.0],
+                     "alpha_bar_nan": [1.0, float("nan"), 0.0],
+                     "alpha_bar_zero_early": [1.0, 0.0, 0.0],
+                     "alpha_bar_negative_last": [1.0, 0.5, -0.5]}
+
+    @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X",
+                                      *BAD_ALPHA_BAR])
+    def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, recwarn, edit):
         out = tmp_path / "out"
         out.mkdir()
         ckpt = out / "checkpoint.json"
@@ -383,10 +407,14 @@ class TestCLI:
             sched.write_text(json.dumps(obj))
         elif edit == "not_an_object":
             sched.write_text(json.dumps([obj]))
+        elif edit in self.BAD_ALPHA_BAR:
+            obj["alpha_bar"] = self.BAD_ALPHA_BAR[edit]
+            sched.write_text(json.dumps(obj))
         rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(sched) in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         if edit == "m_X":
             assert str(ckpt) in err
 
