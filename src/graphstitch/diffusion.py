@@ -74,10 +74,13 @@ class NoiseSchedule:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
+                T = obj["T"]
+                if type(T) is not int:  # not a float, string or bool that int() takes
+                    raise TypeError(f"T must be an integer, got {T!r}")
                 ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
                 with np.errstate(all="ignore"):  # the constructor rejects what warns
                     alpha = ab[1:] / ab[:-1]
-                return cls(int(obj["T"]), alpha, ab, obj["m_X"], obj["m_E"])
+                return cls(T, alpha, ab, obj["m_X"], obj["m_E"])
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise InvalidParameter(
                     f"schedule {path}: {type(exc).__name__}: {exc}") from None

@@ -241,32 +241,50 @@ def induced_subgraph(g, nodes):
     return Graph(int(s.size), np.column_stack([rows[upper], cols[upper]])), s
 
 
+def _component_labels(size, rows, cols):
+    """(labels, rounds): each of `size` nodes labelled by the smallest node
+    index in its component, and the number of hooking rounds that took.
+    `rows` and `cols` are the local pairs of a symmetric graph.
+
+    Each round every node, and every root for its whole tree, takes the
+    smallest label found across an edge (min-label hooking); pointer jumping
+    then flattens the trees until every node points at its root. A round
+    that changes nothing leaves equal labels on both ends of every edge.
+    Whole trees hook at once, so the rounds grow like log(size), not like
+    the diameter, as plain label propagation would.
+    """
+    label = np.arange(size, dtype=np.int64)
+    rounds = 0
+    while True:
+        rounds += 1
+        hooked = label.copy()
+        across = label[cols]
+        np.minimum.at(hooked, rows, across)
+        np.minimum.at(hooked, label[rows], across)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label, rounds
+        label = hooked
+
+
 def largest_connected_component(g, nodes=None):
     """Sorted node IDs of the largest component of the subgraph induced on
     `nodes` (default: all of g); ties break to the one containing the
     smallest node ID."""
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph
     if nodes is None:
         if g.n < 1:
             raise ValueError("graph must have at least one node")
         s = np.arange(g.n, dtype=np.int64)
     else:
         s = _node_set(g, nodes)
-    rows, cols = _induced_pairs(g, s)
-    indptr = np.zeros(s.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=s.size), out=indptr[1:])
-    # float64 data and int32 indices are what csgraph works on, so scipy
-    # makes no converted copies
-    adj = sp.csr_matrix((np.ones(cols.size), cols.astype(np.int32), indptr),
-                        shape=(s.size, s.size))
-    # adj is symmetric, so its strong components are the undirected ones;
-    # the undirected mode would also build the transpose
-    _, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    sizes = np.bincount(labels)
-    # the first node in a largest component is the smallest ID of any of them
-    label = labels[np.argmax(sizes[labels] == sizes.max())]
-    return s[labels == label]
+    labels, _ = _component_labels(s.size, *_induced_pairs(g, s))
+    # each label is the smallest local index in its component, and argmax
+    # takes the first of the largest: the one holding the smallest ID
+    return s[labels == np.argmax(np.bincount(labels, minlength=s.size))]
 
 
 def is_connected(g):

@@ -5,8 +5,8 @@ These are the kernels the ones in `graphstitch.graphs` and
 `graphstitch.sampling` replaced: `Graph`'s CSR built by a `lexsort` of both
 edge orientations and its scipy adjacency built from COO triplets, a
 per-node loop over neighbor lists for `induced_subgraph`, scipy components
-of a whole `Graph` for the largest component, and an Ego halving loop that
-builds an intermediate `Graph` for every round. Tests compare the fast
+of a whole `Graph` for the component labels and the largest component, and
+an Ego halving loop that builds an intermediate `Graph` for every round. Tests compare the fast
 kernels and Ego corpora against them.
 """
 
@@ -81,6 +81,13 @@ def largest_connected_component(g):
     _, first = np.unique(labels, return_index=True)
     label = cand[np.argmin(first[cand])]
     return np.flatnonzero(labels == label).astype(np.int64)
+
+
+def component_labels(g):
+    """Each node's component in g, labelled by the smallest node ID in it."""
+    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return first[labels].astype(np.int64)
 
 
 def induced_lcc(g, nodes):

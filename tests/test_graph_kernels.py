@@ -3,6 +3,7 @@ per-node and Graph-per-round kernels in graph_oracle, the pair codes every
 Graph keeps, and the CSR built from them (with its scipy wrapper, per-node
 triangles and clustering) against graph_oracle and metric_oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import graph_oracle as oracle
 import metric_oracle
 from graphstitch.errors import InvalidNodeSet
-from graphstitch.graphs import (Graph, decode_pairs, induced_subgraph,
-                                largest_connected_component, pair_codes)
+from graphstitch.graphs import (Graph, _component_labels, _induced_pairs, decode_pairs,
+                                induced_subgraph, largest_connected_component, pair_codes)
 from graphstitch.metrics import _per_node_triangles, degree_stats
 from graphstitch.sampling import build_corpus, two_hop_neighborhood, write_corpus_jsonl
 from graphstitch.sbm import sbm_graph
@@ -30,10 +31,16 @@ def chung_lu_like(n, mean_degree, exponent, seed):
     rng = np.random.default_rng(seed)
     w = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))
     w *= mean_degree * n / w.sum()
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < np.minimum(1.0, w[iu] * w[ju] / w.sum())
+    total = w.sum()
+    # one row of the upper triangle at a time keeps memory O(n) at n = 20k;
+    # the draws are those of one rng.random over all pairs in triu order
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for i in range(n - 1):
+        keep = rng.random(n - 1 - i) < np.minimum(1.0, w[i] * w[i + 1:] / total)
+        j = i + 1 + np.flatnonzero(keep)
+        pairs.append(np.column_stack([np.full(j.size, i), j]))
     label = rng.permutation(n)
-    return Graph(n, np.column_stack([label[iu[keep]], label[ju[keep]]]))
+    return Graph(n, label[np.concatenate(pairs)])
 
 
 @st.composite
@@ -66,6 +73,35 @@ any_graphs = st.one_of(
     st.integers(0, 12).map(Graph),
     st.integers(0, 16).map(complete),
 )
+
+
+@st.composite
+def tied_graphs(draw):
+    """Several largest components of equal size, smaller ones and isolated
+    nodes, each component a path or a clique, under shuffled labels."""
+    big = draw(st.integers(2, 6))
+    sizes = ([big] * draw(st.integers(2, 8))
+             + draw(st.lists(st.integers(1, big - 1), max_size=4))
+             + [1] * draw(st.integers(0, 6)))
+    clique = draw(st.booleans())
+    edges, start = [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += itertools.combinations(block, 2) if clique else zip(block, block[1:])
+        start += size
+    label = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(start)
+    return Graph(start, label[np.array(edges, dtype=np.int64).reshape(-1, 2)])
+
+
+def shuffled_path(n, seed):
+    p = np.random.default_rng(seed).permutation(n)
+    return Graph(n, np.column_stack([p[:-1], p[1:]]))
+
+
+@pytest.fixture(scope="module")
+def large_graphs():
+    return {"shuffled-path": shuffled_path(20_000, seed=1),
+            "chung-lu": chung_lu_like(20_000, 4.0, 2.2, seed=0)}
 
 
 @st.composite
@@ -169,6 +205,38 @@ class TestLargestComponent:
         assert np.array_equal(got, want)
         shuffled = np.random.default_rng(g.n).permutation(g.n)
         assert np.array_equal(largest_connected_component(g, shuffled), want)
+
+    @check
+    @given(st.one_of(graphs, tied_graphs()))
+    def test_labels_are_smallest_id_in_component(self, g):
+        labels, _ = _component_labels(g.n, *_induced_pairs(g, np.arange(g.n)))
+        assert np.array_equal(labels, oracle.component_labels(g))
+
+    @check
+    @given(tied_graphs(), st.data())
+    def test_ties_match_oracle(self, g, data):
+        assert np.array_equal(largest_connected_component(g),
+                              oracle.largest_connected_component(g))
+        nodes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n,
+                                   unique=True))
+        assert np.array_equal(largest_connected_component(g, nodes),
+                              oracle.induced_lcc(g, nodes))
+
+    @pytest.mark.parametrize("name", ["shuffled-path", "chung-lu"])
+    def test_large_graphs_match_oracle(self, large_graphs, name):
+        g = large_graphs[name]
+        assert np.array_equal(largest_connected_component(g),
+                              oracle.largest_connected_component(g))
+        half = np.random.default_rng(2).choice(g.n, g.n // 2, replace=False)
+        assert np.array_equal(largest_connected_component(g, half),
+                              oracle.induced_lcc(g, half))
+
+    def test_rounds_grow_like_log_n(self, large_graphs):
+        # plain label propagation would take a round per step of the 20k diameter
+        g = large_graphs["shuffled-path"]
+        labels, rounds = _component_labels(g.n, *_induced_pairs(g, np.arange(g.n)))
+        assert not labels.any()
+        assert rounds <= math.ceil(math.log2(g.n)) + 2
 
     def test_disconnected_set_ties_to_smallest_id(self):
         # {4, 5} and {1, 2} are both size 2 once 3 is left out

@@ -389,8 +389,10 @@ class TestCLI:
                      "alpha_bar_zero_early": [1.0, 0.0, 0.0],
                      "alpha_bar_negative_last": [1.0, 0.5, -0.5]}
 
+    BAD_T = {"T_float": 2.9, "T_string": "2", "T_bool": True}
+
     @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X",
-                                      *BAD_ALPHA_BAR])
+                                      *BAD_ALPHA_BAR, *BAD_T])
     def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, recwarn, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -409,6 +411,11 @@ class TestCLI:
             sched.write_text(json.dumps([obj]))
         elif edit in self.BAD_ALPHA_BAR:
             obj["alpha_bar"] = self.BAD_ALPHA_BAR[edit]
+            sched.write_text(json.dumps(obj))
+        elif edit in self.BAD_T:
+            # alpha_bar keeps the length int(T) gives, so only T's type is wrong
+            obj["T"] = self.BAD_T[edit]
+            obj["alpha_bar"] = obj["alpha_bar"][:int(obj["T"]) + 1]
             sched.write_text(json.dumps(obj))
         rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
         assert rc == 2

@@ -73,7 +73,7 @@ def loaded(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["import", "fixture-sbm", "sample-RW", "sample-Unif",
-                                  "generate", "linkpred"])
+                                  "sample-Ego", "generate", "linkpred"])
 def test_loads_no_scipy(loaded, name):
     assert loaded[name]["rc"] in (None, 0)
     assert loaded[name]["scipy"] == []
@@ -86,7 +86,7 @@ def test_train_loads_sparse_without_csgraph(loaded):
     assert not any(m.startswith("scipy.sparse.csgraph") for m in got["scipy"])
 
 
-@pytest.mark.parametrize("name", ["sample-Ego", "eval", "progressive"])
+@pytest.mark.parametrize("name", ["eval", "progressive"])
 def test_scipy_commands_run(loaded, name):
     assert loaded[name]["rc"] == 0
     assert "scipy.sparse.csgraph" in loaded[name]["scipy"]
