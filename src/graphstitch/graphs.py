@@ -80,6 +80,11 @@ class Graph:
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return self._nbrs[shift + np.arange(shift.size)], counts
 
+    def random_neighbors(self, nodes, rng):
+        """A uniform random neighbor of each of `nodes` (all of degree >= 1)."""
+        starts = self._indptr[nodes]
+        return self._nbrs[starts + rng.integers(self._indptr[nodes + 1] - starts)]
+
     def has_edge(self, u, v):
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
@@ -169,19 +174,16 @@ def load_edge_list(lines, relabel=False):
     pairs = np.column_stack([np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)]) \
         if us else np.empty((0, 2), dtype=np.int64)
 
+    max_id = int(pairs.max()) if pairs.size else -1
+    if header_n is not None and header_n <= max_id:
+        raise ParseError(f"header n={header_n} does not cover max node ID {max_id}")
     id_map = None
     if relabel:
-        ids = np.unique(pairs)
-        id_map = ids
-        n = int(ids.size)
-        pairs = np.searchsorted(ids, pairs)
+        id_map = np.unique(pairs)
+        n = int(id_map.size)
+        pairs = np.searchsorted(id_map, pairs)
     else:
-        max_id = int(pairs.max()) if pairs.size else -1
-        n = max_id + 1
-        if header_n is not None:
-            if header_n < n:
-                raise ParseError(f"header n={header_n} smaller than max node ID {max_id}")
-            n = header_n
+        n = max_id + 1 if header_n is None else header_n
 
     g = Graph(n, pairs)
     return g, LoadReport(self_loops, pairs.shape[0] - g.num_edges, id_map)

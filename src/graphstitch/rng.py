@@ -1,8 +1,8 @@
 """Deterministic named RNG substreams.
 
 Every random choice in the package flows from one root seed through
-substreams addressed by string/int paths, e.g. substream(seed, "rw", node,
-rep). Re-running any unit of work with the same seed therefore reproduces
+substreams addressed by string/int paths, e.g. substream(seed, "rw", rep).
+Re-running any unit of work with the same seed therefore reproduces
 it exactly, independent of what ran before.
 """
 

@@ -114,29 +114,27 @@ def sample_uniform(g, k, count, seed=0):
 
 
 def sample_random_walk(g, k, d, seed=0):
-    """d walks of k edge-traversals from every node; the sample is the
-    subgraph induced on the visited set (<= k+1 distinct nodes).
-
-    An isolated start node yields a singleton sample.
+    """d walks of k edge-traversals from every node, in (start node,
+    repetition) order; the sample is the subgraph induced on the visited set
+    (<= k+1 distinct nodes). The walks of one repetition step in lockstep off
+    one substream; a walk from an isolated node stays put (a singleton).
     """
     if k < 1:
         raise InvalidParameter("k must be >= 1")
     if d < 1:
         raise InvalidParameter("d must be >= 1")
+    walks = np.repeat(np.arange(g.n), d * (k + 1)).reshape(g.n, d, k + 1)
+    moving = np.flatnonzero(g.degrees > 0)
+    for rep in range(d):
+        rng = substream(seed, "rw", rep)
+        cur = moving
+        for step in range(1, k + 1):
+            cur = g.random_neighbors(cur, rng)
+            walks[moving, rep, step] = cur
     samples = []
-    for v in range(g.n):
-        for rep in range(d):
-            rng = substream(seed, "rw", v, rep)
-            cur = v
-            visited = {v}
-            for _ in range(k):
-                nb = g.neighbors(cur)
-                if nb.size == 0:
-                    break
-                cur = int(nb[rng.integers(nb.size)])
-                visited.add(cur)
-            sub, id_map = induced_subgraph(g, sorted(visited))
-            samples.append(SubgraphSample(sub, id_map, g.n))
+    for walk in walks.reshape(-1, k + 1):
+        sub, id_map = induced_subgraph(g, np.unique(walk))
+        samples.append(SubgraphSample(sub, id_map, g.n))
     return SampleCorpus(samples, "RW", k, d)
 
 

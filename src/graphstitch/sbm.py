@@ -21,7 +21,12 @@ def sbm_graph(block_sizes, p_in, p_out, seed=0):
             raise InvalidParameter(f"edge probability {p} outside [0, 1]")
     labels = block_labels(block_sizes)
     n = labels.size
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = substream(seed, "sbm").random(iu.size) < probs
-    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
+    # row by row: memory O(n) rather than O(n^2), and the same draws as one
+    # rng.random over every pair in row-major upper-triangle order
+    rng = substream(seed, "sbm")
+    later = []
+    for u in range(n):
+        probs = np.where(labels[u + 1:] == labels[u], p_in, p_out)
+        later.append(u + 1 + np.flatnonzero(rng.random(n - 1 - u) < probs))
+    first = np.repeat(np.arange(n), [row.size for row in later])
+    return Graph(n, np.column_stack([first, np.concatenate(later)]))

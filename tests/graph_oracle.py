@@ -6,8 +6,10 @@ These are the kernels the ones in `graphstitch.graphs` and
 edge orientations and its scipy adjacency built from COO triplets, a
 per-node loop over neighbor lists for `induced_subgraph`, scipy components
 of a whole `Graph` for the component labels and the largest component, and
-an Ego halving loop that builds an intermediate `Graph` for every round. Tests compare the fast
-kernels and Ego corpora against them.
+an Ego halving loop that builds an intermediate `Graph` for every round, a
+random walk that steps one walk at a time off its own (node, repetition)
+substream, and an SBM that draws every node pair in one call. Tests compare
+the fast kernels, Ego corpora, RW walks and SBM graphs against them.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from graphstitch.errors import InvalidNodeSet
 from graphstitch.graphs import Graph
 from graphstitch.rng import substream
 from graphstitch.sampling import SampleCorpus, SubgraphSample
+from graphstitch.sbm import block_labels
 
 
 def csr_arrays(g):
@@ -116,6 +119,34 @@ def sample_ego(g, k, d, seed=0):
             sub, id_map = induced_subgraph(g, nodes)
             samples.append(SubgraphSample(sub, id_map, g.n))
     return SampleCorpus(samples, "Ego", k, d)
+
+
+def sample_random_walk(g, k, d, seed=0):
+    samples = []
+    for v in range(g.n):
+        for rep in range(d):
+            rng = substream(seed, "rw", v, rep)
+            cur = v
+            visited = {v}
+            for _ in range(k):
+                nb = g.neighbors(cur)
+                if nb.size == 0:
+                    break
+                cur = int(nb[rng.integers(nb.size)])
+                visited.add(cur)
+            sub, id_map = induced_subgraph(g, sorted(visited))
+            samples.append(SubgraphSample(sub, id_map, g.n))
+    return SampleCorpus(samples, "RW", k, d)
+
+
+def sbm_graph(block_sizes, p_in, p_out, seed=0):
+    """sbm.sbm_graph's graph, drawn over all n(n-1)/2 pairs at once."""
+    labels = block_labels(block_sizes)
+    n = labels.size
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = substream(seed, "sbm").random(iu.size) < probs
+    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
 
 
 def build_ego_corpus(g, k, d, seed=0):

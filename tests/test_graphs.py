@@ -95,6 +95,16 @@ class TestLoadEdgeList:
         # 10-40 -> 1-2, 40-7 -> 2-0
         assert g.edge_array.tolist() == [[0, 2], [1, 2]]
 
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_header_below_max_id_rejected_in_both_modes(self, relabel):
+        with pytest.raises(ParseError):
+            load_edge_list(["n=5", "0 9", "1 2"], relabel=relabel)
+
+    @pytest.mark.parametrize("relabel,n", [(False, 10), (True, 4)])
+    def test_header_covering_max_id_loads_in_both_modes(self, relabel, n):
+        g, _ = load_edge_list(["n=10", "0 9", "1 2"], relabel=relabel)
+        assert g.n == n and g.num_edges == 2
+
     def test_roundtrip_preserves_isolated(self, tmp_path):
         g = Graph(7, [(0, 1), (2, 5)])
         path = tmp_path / "g.edgelist"
@@ -105,6 +115,17 @@ class TestLoadEdgeList:
     def test_empty_input(self):
         g, rep = load_edge_list([])
         assert g.n == 0 and g.num_edges == 0
+
+
+def test_random_neighbors_one_draw_per_node():
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    nodes = np.array([0, 3, 5, 0, 4], dtype=np.int64)
+    rng = np.random.default_rng(3)
+    got = g.random_neighbors(nodes, rng)
+    assert all(g.has_edge(u, v) for u, v in zip(nodes.tolist(), got.tolist()))
+    # the same draws as one integers() call over the nodes' degrees
+    offsets = np.random.default_rng(3).integers(g.degrees[nodes])
+    assert got.tolist() == [int(g.neighbors(u)[i]) for u, i in zip(nodes, offsets)]
 
 
 class TestInducedSubgraph:

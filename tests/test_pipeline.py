@@ -322,6 +322,14 @@ class TestCLI:
         assert rc == 2
         assert capsys.readouterr().err.startswith("graphstitch:")
 
+    def test_exit_code_2_on_header_below_max_id(self, tmp_path, capsys):
+        dataset = tmp_path / "bad.edgelist"
+        dataset.write_text("n=5\n0 9\n1 2\n")
+        rc = cli.main(["sample", "--dataset", str(dataset), "--scheme", "RW",
+                       "--k", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "n=5" in capsys.readouterr().err
+
     def test_exit_code_2_on_foreign_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

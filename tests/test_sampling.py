@@ -1,13 +1,16 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import graph_oracle as oracle
 from graphstitch import sampling
 from graphstitch.errors import InvalidParameter
 from graphstitch.graphs import Graph, is_connected
+from graphstitch.rng import substream
 from graphstitch.sampling import (build_corpus, corpus_stats, local_pairs,
                                   read_corpus_jsonl, required_sample_count,
                                   sample_ego, sample_random_walk,
@@ -85,6 +88,73 @@ class TestRandomWalk:
         for s in corpus:
             ids = s.id_map
             assert ids.max() - ids.min() <= 8
+
+
+class TestLockstepWalk:
+    """sample_random_walk against the one-walk-at-a-time loop in graph_oracle."""
+
+    @pytest.mark.parametrize("k,d,seed", [(1, 1, 0), (3, 2, 5), (6, 3, 11)])
+    def test_forced_walks_match_oracle(self, k, d, seed):
+        # a perfect matching on 0..5 plus isolated 6 and 7: every walk is forced
+        g = Graph(8, [(0, 3), (1, 5), (2, 4)])
+        got = sample_random_walk(g, k, d, seed=seed)
+        want = oracle.sample_random_walk(g, k, d, seed=seed)
+        assert len(got) == len(want) == 8 * d
+        for a, b in zip(got, want):
+            assert a.id_map.tolist() == b.id_map.tolist()
+            assert a.local == b.local
+
+    def test_visited_set_frequencies_match_oracle(self):
+        # irregular: degrees 3, 2, 2, 2, 1 and a triangle
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+        got = [Counter() for _ in range(g.n)]
+        want = [Counter() for _ in range(g.n)]
+        for seed in range(20):
+            for counts, sample in ((got, sample_random_walk), (want, oracle.sample_random_walk)):
+                # samples come in (start node, repetition) order, 200 per start
+                for i, s in enumerate(sample(g, 2, 200, seed=seed)):
+                    counts[i // 200][tuple(s.id_map.tolist())] += 1
+        for a, b in zip(got, want):
+            total = sum(a.values())
+            assert total == sum(b.values()) == 20 * 200
+            tv = 0.5 * sum(abs(a[key] - b[key]) for key in set(a) | set(b)) / total
+            assert tv < 0.05
+
+    def test_consecutive_positions_are_edges(self, monkeypatch):
+        g = Graph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 7)])
+        steps = []
+        draw = Graph.random_neighbors
+
+        def recording(self, nodes, rng):
+            nxt = draw(self, nodes, rng)
+            steps.append((nodes.copy(), nxt))
+            return nxt
+
+        monkeypatch.setattr(Graph, "random_neighbors", recording)
+        k, d = 5, 3
+        sample_random_walk(g, k, d, seed=4)
+        assert len(steps) == k * d
+        for i, (cur, nxt) in enumerate(steps):
+            if i % k == 0:  # a repetition starts from every node with a neighbor
+                assert cur.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+            else:
+                assert np.array_equal(cur, steps[i - 1][1])
+            assert all(g.has_edge(u, v) for u, v in zip(cur.tolist(), nxt.tolist()))
+
+    def test_one_substream_per_repetition(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(sampling, "substream", counting)
+        sample_random_walk(path_graph(30), k=4, d=3, seed=2)
+        assert calls == [(2, "rw", rep) for rep in range(3)]
+
+    def test_all_isolated(self):
+        corpus = sample_random_walk(Graph(3), k=4, d=2, seed=0)
+        assert [s.id_map.tolist() for s in corpus] == [[0], [0], [1], [1], [2], [2]]
 
 
 class TestEgo:
