@@ -4,11 +4,13 @@ Subgraphs come out of the reverse diffusion chain carrying original node
 IDs, so assembly is just set union over the pair codes of translated edges:
 keep generating until the union reaches the target edge count, always
 inserting the whole final subgraph (bounded overshoot), and abort if a long
-run of subgraphs contributes nothing new.
+run of subgraphs contributes nothing new. A pass records the order in
+which edges entered the union and its size after each subgraph, so the
+union at any point of the pass is a prefix of that order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +26,21 @@ STALL_LIMIT = 50
 
 @dataclass
 class SynthAccumulator:
-    """Counters of an assembly pass."""
+    """Record of an assembly pass: the union's size after each subgraph, and
+    its pair codes in entry order (grouped by the subgraph that first added
+    them, ascending within a group)."""
 
-    subgraphs_used: int = 0
-    num_edges: int = 0
+    union_sizes: list = field(default_factory=list)
+    entry_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     overshoot: int = 0
+
+    @property
+    def subgraphs_used(self):
+        return len(self.union_sizes)
+
+    @property
+    def num_edges(self):
+        return self.union_sizes[-1] if self.union_sizes else 0
 
 
 def generate_subgraph(params, sched, k, seed):
@@ -62,47 +74,70 @@ def edge_target(fraction, total):
     return max(1, math.ceil(fraction * total))
 
 
-def _union_loop(make_subgraph, n, thresholds):
-    """Generate-and-union until the last threshold is reached.
+def union_snapshots(entry_codes, union_sizes, thresholds):
+    """Sorted pair codes of the union at each of the ascending `thresholds`.
 
-    Returns (snapshots, acc): one sorted int64 array of the union's pair
-    codes per threshold, taken the first time the union size crosses it (a
-    single subgraph may cross several). Raises StalledAssembly after
-    STALL_LIMIT consecutive subgraphs that add no new edge.
+    The snapshot at threshold t is the union right after the first subgraph
+    that brought it to >= t (a single subgraph may cross several): the first
+    union_sizes[i] entry codes, for the first i with union_sizes[i] >= t.
+    The last union size must reach every threshold.
+    """
+    sizes = np.asarray(union_sizes, dtype=np.int64)
+    ends = sizes[np.searchsorted(sizes, thresholds)].tolist()
+    prefixes = {m: np.sort(entry_codes[:m]) for m in set(ends)}
+    return [prefixes[m] for m in ends]
+
+
+def snapshot_graphs(snapshots, n):
+    """A Graph on n nodes per snapshot of one pass; snapshots of one size
+    are the same prefix, and share one Graph."""
+    graphs = {}
+    for codes in snapshots:
+        if codes.size not in graphs:
+            graphs[codes.size] = Graph(n, decode_pairs(codes, n))
+    return [graphs[codes.size] for codes in snapshots]
+
+
+def _union_loop(make_subgraph, n, thresholds):
+    """Generate-and-union until the last of the ascending `thresholds` is
+    reached.
+
+    Returns (snapshots, acc): the union_snapshots at `thresholds` and the
+    pass's record. Raises StalledAssembly after STALL_LIMIT consecutive
+    subgraphs that add no new edge.
     """
     acc = SynthAccumulator()
     union = set()  # Python ints: an insert costs the subgraph, not the union
-    snapshots = []
-    pending = list(thresholds)
+    entered = []
     streak = 0
-    while pending:
+    while acc.num_edges < thresholds[-1]:
         sub = make_subgraph(acc.subgraphs_used)
-        acc.subgraphs_used += 1
         ea = sub.id_map[sub.local.edge_array]
-        union.update(pair_codes(ea[:, 0], ea[:, 1], n).tolist())
-        streak = 0 if len(union) > acc.num_edges else streak + 1
-        acc.num_edges = len(union)
-        while pending and acc.num_edges >= pending[0]:
-            snapshots.append(np.sort(np.fromiter(union, np.int64, len(union))))
-            pending.pop(0)
-        if pending and streak >= STALL_LIMIT:
+        codes = np.unique(pair_codes(ea[:, 0], ea[:, 1], n)).tolist()
+        new = [c for c in codes if c not in union]
+        union.update(new)
+        entered += new
+        streak = 0 if new else streak + 1
+        acc.union_sizes.append(len(union))
+        if acc.num_edges < thresholds[-1] and streak >= STALL_LIMIT:
             raise StalledAssembly(
                 f"{STALL_LIMIT} consecutive subgraphs added no new edges "
-                f"({acc.num_edges}/{pending[-1]} edges after "
+                f"({acc.num_edges}/{thresholds[-1]} edges after "
                 f"{acc.subgraphs_used} subgraphs)",
                 edges=acc.num_edges, subgraphs_used=acc.subgraphs_used)
+    acc.entry_codes = np.array(entered, dtype=np.int64)
     acc.overshoot = acc.num_edges - thresholds[-1]
-    return snapshots, acc
+    return union_snapshots(acc.entry_codes, acc.union_sizes, thresholds), acc
 
 
 def _assemble(params, sched, thresholds, k, seed):
     """One assembly pass of generated subgraphs: a Graph per threshold and
-    the pass's counters."""
+    the pass's record."""
     def make(i):
         return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
 
     snapshots, acc = _union_loop(make, params.n, thresholds)
-    return [Graph(params.n, decode_pairs(c, params.n)) for c in snapshots], acc
+    return snapshot_graphs(snapshots, params.n), acc
 
 
 def assemble(params, sched, target_edges, k, seed):
@@ -117,12 +152,10 @@ def assemble(params, sched, target_edges, k, seed):
     return graphs[0], acc
 
 
-def progressive_assemble(params, sched, fractions, total_edges, k, seed):
-    """Snapshots of the growing union at ceil(f * total_edges) for each f.
+def snapshot_thresholds(fractions, total_edges):
+    """(fractions as floats, edge_target of each against total_edges).
 
-    fractions must be strictly increasing within (0, 1]. Returns
-    [(fraction, Graph), ...] in order; the underlying run is a single
-    assembly pass, so later snapshots are supersets of earlier ones.
+    fractions must be strictly increasing within (0, 1], total_edges >= 1.
     """
     fr = [float(f) for f in fractions]
     if not fr or any(not 0.0 < f <= 1.0 for f in fr) or any(
@@ -130,5 +163,16 @@ def progressive_assemble(params, sched, fractions, total_edges, k, seed):
         raise InvalidParameter("fractions must be strictly increasing in (0, 1]")
     if total_edges < 1:
         raise InvalidParameter("total_edges must be >= 1")
-    graphs, _ = _assemble(params, sched, [edge_target(f, total_edges) for f in fr], k, seed)
+    return fr, [edge_target(f, total_edges) for f in fr]
+
+
+def progressive_assemble(params, sched, fractions, total_edges, k, seed):
+    """Snapshots of the growing union at ceil(f * total_edges) for each f.
+
+    fractions must be strictly increasing within (0, 1]. Returns
+    [(fraction, Graph), ...] in order; the underlying run is a single
+    assembly pass, so later snapshots are supersets of earlier ones.
+    """
+    fr, thresholds = snapshot_thresholds(fractions, total_edges)
+    graphs, _ = _assemble(params, sched, thresholds, k, seed)
     return list(zip(fr, graphs))

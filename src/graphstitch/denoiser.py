@@ -9,6 +9,7 @@ the uniform distribution everywhere.
 """
 
 import base64
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -88,13 +89,18 @@ def _tensor_shapes(n, h, L):
 
 
 class DenoiserParams:
-    """Named tensor bag with the layout baked into the keys."""
+    """Named tensor bag with the layout baked into the keys.
+
+    `digest` is the SHA-256 hex of the checkpoint file it was loaded from,
+    None for parameters made in memory.
+    """
 
     def __init__(self, n, h, L, tensors):
         self.n = n
         self.h = h
         self.L = L
         self.tensors = tensors
+        self.digest = None
 
     @classmethod
     def init(cls, n, h, L, seed):
@@ -134,11 +140,12 @@ class DenoiserParams:
         unless its tensors are exactly those of its (n, h, L), all finite."""
         def bad(what):
             return InvalidParameter(f"checkpoint {path}: {what}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise bad(f"not JSON ({exc})") from None
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            obj = json.loads(blob)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise bad(f"not JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise bad("not a JSON object")
         if obj.get("version") != CHECKPOINT_VERSION:
@@ -168,7 +175,9 @@ class DenoiserParams:
             tensors[key] = np.frombuffer(raw, "<f8").reshape(shape).copy()
             if not np.isfinite(tensors[key]).all():
                 raise bad(f"tensor {key!r} has non-finite values")
-        return cls(*sizes, tensors)
+        params = cls(*sizes, tensors)
+        params.digest = hashlib.sha256(blob).hexdigest()
+        return params
 
 
 def _time_features(t, T):

@@ -7,6 +7,7 @@ the same rank-1-plus-identity shape, so nothing here materializes an
 n x n matrix: every operation applies the structure in O(n).
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     m_x: np.ndarray  # node-ID marginal, length n_parent
     m_e: np.ndarray  # (absent, present) pair marginal
+    # SHA-256 hex of the file the schedule was loaded from; None if built
+    digest: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -71,19 +74,21 @@ class NoiseSchedule:
     def load(cls, path):
         """Read a schedule written by save; InvalidParameter naming the file
         unless it is one."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-                T = obj["T"]
-                if type(T) is not int:  # not a float, string or bool that int() takes
-                    raise TypeError(f"T must be an integer, got {T!r}")
-                ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
-                with np.errstate(all="ignore"):  # the constructor rejects what warns
-                    alpha = ab[1:] / ab[:-1]
-                return cls(T, alpha, ab, obj["m_X"], obj["m_E"])
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise InvalidParameter(
-                    f"schedule {path}: {type(exc).__name__}: {exc}") from None
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            obj = json.loads(blob)
+            T = obj["T"]
+            if type(T) is not int:  # not a float, string or bool that int() takes
+                raise TypeError(f"T must be an integer, got {T!r}")
+            ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
+            with np.errstate(all="ignore"):  # the constructor rejects what warns
+                alpha = ab[1:] / ab[:-1]
+            return cls(T, alpha, ab, obj["m_X"], obj["m_E"],
+                       digest=hashlib.sha256(blob).hexdigest())
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f"schedule {path}: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass

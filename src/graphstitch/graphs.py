@@ -194,12 +194,49 @@ def load_edge_list_file(path, relabel=False):
         return load_edge_list(fh, relabel=relabel)
 
 
-def save_edge_list(g, path):
-    """Write g in the load_edge_list format (n= header keeps isolated nodes)."""
+def save_edge_list(g, path, order=None):
+    """Write g in the load_edge_list format (n= header keeps isolated nodes).
+
+    Edges go out as (min, max) lines, in the order of `order` when given
+    (g's pair codes, each once) and ascending otherwise.
+    """
+    rows = g.edge_array
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), g.edge_codes):
+            raise ValueError("order must list each of g's pair codes once")
+        rows = decode_pairs(order, g.n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n={g.n}\n")
-        for u, v in g.edge_array.tolist():
+        for u, v in rows.tolist():
             fh.write(f"{u} {v}\n")
+
+
+def read_saved_edges(path):
+    """(n, pair codes in file order) of an edge list as save_edge_list
+    writes it: an n= header, then one 'u v' line per edge with u < v, each
+    pair once. ParseError naming the file otherwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head, _, body = fh.read().partition("\n")
+
+    def bad(what):
+        return ParseError(f"edge list {path}: {what}")
+    if not head.startswith("n="):
+        raise bad(f"first line {head!r} is not an n= header")
+    try:
+        n = int(head[2:])
+        flat = np.array(body.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise bad("the node count or an endpoint is not an integer") from None
+    if flat.size != 2 * body.count("\n"):
+        raise bad("expected one 'u v' line per edge")
+    u, v = flat[0::2], flat[1::2]
+    codes = pair_codes(u, v, n)
+    ascending = np.sort(codes)  # a repeated pair sits next to its twin
+    if n < 0 or not ((u >= 0) & (u < v) & (v < n)).all() \
+            or (ascending[1:] == ascending[:-1]).any():
+        raise bad(f"edges must be distinct pairs u < v of nodes below n={n}")
+    return n, codes
 
 
 def _node_set(g, nodes):

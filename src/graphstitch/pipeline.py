@@ -16,7 +16,8 @@ from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
                        write_loss_csv)
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError, InvalidParameter
-from .graphs import graph_summary, load_edge_list_file, save_edge_list
+from .graphs import (graph_summary, load_edge_list_file, read_saved_edges,
+                     save_edge_list)
 from .sampling import SCHEMES
 from .sbm import sbm_graph
 
@@ -211,22 +212,43 @@ def _assembly_inputs(cfg):
     return params, sched, target, k_gen
 
 
+def _provenance(cfg, params, sched, k_gen):
+    """What the subgraphs of an assembly pass depend on; generate records
+    it, and progressive reuses a pass only when its own inputs match."""
+    return {"checkpoint_sha256": params.digest, "schedule_sha256": sched.digest,
+            "seed": cfg.seed, "k_gen": k_gen}
+
+
 def cmd_generate(cfg):
-    """Reverse-diffuse subgraphs and union them into synthetic.edgelist."""
+    """Reverse-diffuse subgraphs and union them into synthetic.edgelist, in
+    the order the edges entered the union; assembly_report.json records the
+    union size after each subgraph and the pass's provenance."""
     params, sched, target, k_gen = _assembly_inputs(cfg)
     synth, acc = assembly.assemble(params, sched, target, k_gen, cfg.seed)
     synth_path = _path(cfg, "synthetic.edgelist")
-    save_edge_list(synth, synth_path)
+    save_edge_list(synth, synth_path, order=acc.entry_codes)
     report = {"subgraphs_used": acc.subgraphs_used, "overshoot": acc.overshoot,
-              "edges": synth.num_edges, "nodes_non_isolated": graph_summary(synth)[0]}
+              "edges": synth.num_edges, "nodes_non_isolated": graph_summary(synth)[0],
+              "union_sizes": acc.union_sizes,
+              "provenance": _provenance(cfg, params, sched, k_gen)}
     return {"synthetic": synth_path,
             "report": _write(cfg, "assembly_report.json", _json(report))}
+
+
+def _load_synthetic(cfg, real):
+    """generate's synthetic graph, on the relabeled dataset's nodes."""
+    path = _path(cfg, "synthetic.edgelist")
+    synth, _ = load_edge_list_file(path)
+    if synth.n != real.n:
+        raise ConfigError(f"synthetic graph {path} has n={synth.n}, but dataset "
+                          f"{cfg.dataset} has {real.n} nodes; re-run generate")
+    return synth
 
 
 def cmd_eval(cfg):
     """Structural stats for real vs synthetic + comparison tables."""
     real, _ = _require_dataset(cfg)
-    synth, _ = load_edge_list_file(_path(cfg, "synthetic.edgelist"))
+    synth = _load_synthetic(cfg, real)
     reports = {"real": metrics.stats_report(real),
                "synthetic": metrics.stats_report(synth)}
     paths = {f"{label}_stats": _write(cfg, f"{label}_stats.json", _json(rep.to_dict()))
@@ -240,7 +262,7 @@ def cmd_linkpred(cfg):
     """Train the embedding predictor on the synthetic graph, evaluate on
     held-out real edges vs sampled non-edges."""
     real, _ = _require_dataset(cfg)
-    synth, _ = load_edge_list_file(_path(cfg, "synthetic.edgelist"))
+    synth = _load_synthetic(cfg, real)
     ev = cfg.eval
     eval_set = linkpred.build_eval_set(real, ev.fraction, cfg.seed)
     model, _ = linkpred.train_link_predictor(synth, h=ev.h, epochs=ev.epochs,
@@ -254,14 +276,61 @@ def cmd_linkpred(cfg):
             "csv": _write(cfg, "linkpred.csv", csv)}
 
 
+def _union_sizes(report, path):
+    """The report's union size after each subgraph; ConfigError naming the
+    file unless they are a non-decreasing list of integers."""
+    sizes = report.get("union_sizes")
+    if not (isinstance(sizes, list) and sizes and all(type(s) is int for s in sizes)
+            and sizes[0] >= 0 and all(a <= b for a, b in zip(sizes, sizes[1:]))):
+        raise ConfigError(f"assembly report {path}: union_sizes must be a non-empty, "
+                          "non-decreasing list of integers")
+    return sizes
+
+
+def _generated_snapshots(cfg, n, provenance, thresholds):
+    """The snapshot graphs at `thresholds`, sliced from the pass that
+    generate recorded in the output directory; None unless that pass has
+    this provenance and reached the last threshold.
+
+    The recorded pass draws the same subgraphs as a fresh one, in the same
+    order, so each snapshot is a prefix of synthetic.edgelist in entry
+    order.
+    """
+    report_path = _path(cfg, "assembly_report.json")
+    if not os.path.isfile(report_path):
+        return None
+    report = read_json_object(report_path, "assembly report")
+    if report.get("provenance") != provenance:
+        return None
+    sizes = _union_sizes(report, report_path)
+    if sizes[-1] < thresholds[-1]:
+        return None
+    path = _path(cfg, "synthetic.edgelist")
+    n_file, codes = read_saved_edges(path)
+    if n_file != n or codes.size != sizes[-1]:
+        raise ConfigError(f"synthetic edge list {path} has n={n_file} and {codes.size} "
+                          f"edges, but {report_path} records a pass on n={n} nodes "
+                          f"that made {sizes[-1]}; re-run generate")
+    return assembly.snapshot_graphs(assembly.union_snapshots(codes, sizes, thresholds), n)
+
+
 def cmd_progressive(cfg):
     """One assembly pass snapshotted at each fraction of the target edge
-    count; writes progressive.csv with the stats columns per snapshot."""
+    count; writes progressive.csv with the stats columns per snapshot.
+
+    The pass is the one generate recorded when its provenance matches and
+    it reached the last threshold; otherwise a fresh pass runs.
+    """
     params, sched, total, k_gen = _assembly_inputs(cfg)
-    snaps = assembly.progressive_assemble(params, sched, cfg.fractions, total,
-                                          k_gen, cfg.seed)
-    rows = (((frac, assembly.edge_target(frac, total)), metrics.stats_report(g))
-            for frac, g in snaps)
+    fractions, thresholds = assembly.snapshot_thresholds(cfg.fractions, total)
+    graphs = _generated_snapshots(cfg, params.n, _provenance(cfg, params, sched, k_gen),
+                                  thresholds)
+    if graphs is None:
+        snaps = assembly.progressive_assemble(params, sched, fractions, total,
+                                              k_gen, cfg.seed)
+        graphs = [g for _, g in snaps]
+    rows = (((frac, target), metrics.stats_report(g))
+            for frac, target, g in zip(fractions, thresholds, graphs))
     csv = metrics.report_csv(("fraction", "target_edges"), rows)
     return {"progressive": _write(cfg, "progressive.csv", csv)}
 

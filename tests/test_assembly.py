@@ -3,11 +3,11 @@ import pytest
 
 from graphstitch import assembly
 from graphstitch.assembly import (assemble, generate_subgraph,
-                                  progressive_assemble, _union_loop)
+                                  progressive_assemble, union_snapshots, _union_loop)
 from graphstitch.denoiser import DenoiserParams, TrainConfig, train
 from graphstitch.diffusion import build_schedule
 from graphstitch.errors import InvalidParameter, StalledAssembly
-from graphstitch.graphs import Graph
+from graphstitch.graphs import Graph, load_edge_list_file, save_edge_list
 from graphstitch.sampling import SubgraphSample, build_corpus
 
 
@@ -109,6 +109,26 @@ class TestUnionLoop:
         assert snaps[1].dtype == np.int64
 
 
+    def test_entry_order_and_union_sizes(self):
+        subs = [sample_of(9, [2, 5, 7], [(5, 7), (2, 5)]),
+                sample_of(9, [0, 5], [(0, 5)]),
+                sample_of(9, [2, 5, 7], [(2, 5)]),
+                sample_of(9, [1, 2, 5], [(2, 5), (1, 5)])]
+        _, acc = _union_loop(fixed_feeder(subs), 9, [4])
+        assert acc.union_sizes == [2, 3, 3, 4]
+        # grouped by the subgraph that first added them, ascending within
+        assert acc.entry_codes.tolist() == [2 * 9 + 5, 5 * 9 + 7, 0 * 9 + 5, 1 * 9 + 5]
+        assert acc.entry_codes.dtype == np.int64
+
+
+def test_union_snapshots_take_the_prefix_of_the_crossing_subgraph():
+    codes = np.array([7, 3, 9, 1, 4], dtype=np.int64)
+    sizes = [2, 2, 3, 5]
+    snaps = union_snapshots(codes, sizes, [1, 2, 3, 3, 4, 5])
+    assert [s.tolist() for s in snaps] == [[3, 7], [3, 7], [3, 7, 9], [3, 7, 9],
+                                           [1, 3, 4, 7, 9], [1, 3, 4, 7, 9]]
+
+
 class TestAssemble:
     def test_reaches_target(self):
         g, _, sched, params = trained_toy()
@@ -123,6 +143,14 @@ class TestAssemble:
         a, acc_a = assemble(params, sched, 6, 4, seed=5)
         b, acc_b = assemble(params, sched, 6, 4, seed=5)
         assert a == b and acc_a.subgraphs_used == acc_b.subgraphs_used
+
+    def test_entry_order_file_loads_to_the_assembled_graph(self, tmp_path):
+        _, _, sched, params = trained_toy(steps=10)
+        synth, acc = assemble(params, sched, 8, 4, seed=3)
+        path = tmp_path / "synthetic.edgelist"
+        save_edge_list(synth, path, order=acc.entry_codes)
+        assert load_edge_list_file(path)[0] == synth
+        assert acc.union_sizes[-1] == synth.num_edges == len(acc.entry_codes)
 
     def test_validation(self):
         _, _, sched, params = trained_toy(steps=2)

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import dataclasses
 import json
 
@@ -324,6 +325,17 @@ class TestCheckpoint:
         params.save(a)
         DenoiserParams.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_load_digest_is_the_sha256_of_the_file(self, tmp_path):
+        params = DenoiserParams.init(5, 3, 1, seed=0)
+        assert params.digest is None
+        path = tmp_path / "ckpt.json"
+        params.save(path)
+        back = DenoiserParams.load(path)
+        assert back.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        back.tensors["node_head_b"][0] = 1.0
+        back.save(path)
+        assert DenoiserParams.load(path).digest != back.digest
 
     def test_roundtrip_bit_exact(self, tmp_path):
         params = DenoiserParams.init(7, 3, 1, seed=0)

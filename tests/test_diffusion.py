@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestSchedule:
         assert np.array_equal(back.m_x, sched.m_x)
         back.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_load_digest_is_the_sha256_of_the_file(self, tmp_path):
+        sched = build_schedule(20, toy_corpus())
+        assert sched.digest is None
+        path = tmp_path / "schedule.json"
+        sched.save(path)
+        assert NoiseSchedule.load(path).digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_unmixed_terminal_raises(self, monkeypatch):
         # an exception, not an assert, so it also holds under python -O

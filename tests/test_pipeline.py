@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestConfig:
             assert pipeline.config_from_obj({"scheme": scheme}).scheme == scheme
 
 
+def spy_on_passes(monkeypatch):
+    """The thresholds of each assembly pass run from here on, in a list."""
+    seen = []
+    real_assemble = assembly._assemble
+
+    def spy(params, sched, thresholds, k, seed):
+        seen.append(list(thresholds))
+        return real_assemble(params, sched, thresholds, k, seed)
+
+    monkeypatch.setattr(assembly, "_assemble", spy)
+    return seen
+
+
+def copy_out(cfg, dest, drop=()):
+    """cfg on a copy of its output directory at `dest`, minus the files named
+    in `drop`."""
+    shutil.copytree(cfg.out, dest)
+    for name in drop:
+        os.remove(os.path.join(dest, name))
+    return dataclasses.replace(cfg, out=str(dest))
+
+
 class TestCommands:
     def test_sample(self, workdir):
         paths = pipeline.cmd_sample(workdir["cfg"])
@@ -203,22 +226,22 @@ class TestCommands:
         assert [r[0] for r in rows] == ["0.5", "1.0"]
         assert int(rows[0][3]) <= int(rows[1][3])  # num_edges monotone
 
-    def test_progressive_targets_are_the_snapshot_thresholds(self, workdir, monkeypatch):
-        seen = []
-        real_assemble = assembly._assemble
-
-        def spy(params, sched, thresholds, k, seed):
-            seen.append(list(thresholds))
-            return real_assemble(params, sched, thresholds, k, seed)
-
-        monkeypatch.setattr(assembly, "_assemble", spy)
-        cfg = workdir["cfg"]
+    def test_progressive_targets_are_the_snapshot_thresholds(self, workdir, monkeypatch,
+                                                              tmp_path):
+        # without generate's report, progressive runs its own pass
+        seen = spy_on_passes(monkeypatch)
+        cfg = copy_out(workdir["cfg"], tmp_path / "out", drop=("assembly_report.json",))
         paths = pipeline.cmd_progressive(cfg)
         rows = [l.split(",") for l in open(paths["progressive"]).read().splitlines()[1:]]
         total = load_edge_list_file(cfg.dataset)[0].num_edges
         want = [assembly.edge_target(f, total) for f in cfg.fractions]
         assert [int(r[1]) for r in rows] == want and seen == [want]
         assert all(int(r[3]) >= int(r[1]) for r in rows)  # num_edges reached the target
+
+    def test_progressive_reuses_the_pass_of_generate(self, workdir, monkeypatch):
+        seen = spy_on_passes(monkeypatch)
+        pipeline.cmd_progressive(workdir["cfg"])
+        assert seen == []
 
     def test_rerun_byte_identical(self, workdir):
         out = workdir["cfg"].out
@@ -329,6 +352,20 @@ class TestCLI:
                        "--k", "3", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "n=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "linkpred"])
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_exit_code_2_on_synthetic_node_count(self, tmp_path, capsys, command, n):
+        dataset = tmp_path / "sbm.edgelist"
+        save_edge_list(sbm_graph([12, 12], 0.5, 0.1, seed=0), dataset)
+        assert load_edge_list_file(dataset, relabel=True)[0].n == 24
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "synthetic.edgelist").write_text(f"n={n}\n0 1\n1 2\n")
+        rc = cli.main([command, "--dataset", str(dataset), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(out / "synthetic.edgelist") in err and str(dataset) in err
 
     def test_exit_code_2_on_foreign_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -612,3 +649,111 @@ def test_freeze_node_ids_end_to_end(tmp_path):
     assert len(outputs["a"]) == 6
     assert outputs["a"] == outputs["b"]
     assert outputs["a"]["loss.csv"] != outputs["c"]["loss.csv"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A sampled and trained output directory on which generate has not run."""
+    root = tmp_path_factory.mktemp("reuse")
+    dataset = root / "toy.edgelist"
+    save_edge_list(sbm_graph([12, 12], 0.45, 0.05, seed=3), dataset)
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(dataset), "k": 5, "d": 2, "T": 10,
+        "denoiser": {"h": 10, "L": 1, "steps": 40, "batch": 8, "lr": 3e-3},
+        "fractions": [0.25, 0.5, 1.0], "seed": 5, "out": str(root / "out")}))
+    cfg = pipeline.load_config(cfg_path)
+    pipeline.cmd_sample(cfg)
+    pipeline.cmd_train(cfg)
+    return {"cfg": cfg, "cfg_path": str(cfg_path)}
+
+
+def progressive_csv(cfg):
+    with open(pipeline.cmd_progressive(cfg)["progressive"], "rb") as fh:
+        return fh.read()
+
+
+class TestProgressiveReuse:
+    @pytest.mark.parametrize("seed", [5, 8])
+    @pytest.mark.parametrize("fractions", [(0.25, 0.5, 1.0), (0.3, 0.7),
+                                           (0.001, 0.002, 0.01, 0.6)],
+                             ids=["to_1", "short_of_1", "equal_thresholds"])
+    def test_same_csv_with_and_without_generate(self, trained, tmp_path, monkeypatch,
+                                                seed, fractions):
+        cfg = dataclasses.replace(copy_out(trained["cfg"], tmp_path / "out"),
+                                  seed=seed, fractions=fractions)
+        seen = spy_on_passes(monkeypatch)
+        fresh = progressive_csv(cfg)
+        pipeline.cmd_generate(cfg)
+        assert progressive_csv(cfg) == fresh
+        assert len(seen) == 2  # progressive's own pass, then generate's
+
+    @pytest.mark.parametrize("change", ["seed", "k_gen", "checkpoint", "schedule",
+                                        "no_provenance", "short"])
+    def test_falls_back_to_a_fresh_pass(self, trained, tmp_path, monkeypatch, change):
+        cfg = copy_out(trained["cfg"], tmp_path / "out")
+        out = tmp_path / "out"
+        short = pipeline.AssemblySettings(target_edges=5)
+        pipeline.cmd_generate(dataclasses.replace(cfg, assembly=short)
+                              if change == "short" else cfg)
+        if change == "seed":
+            cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        elif change == "k_gen":
+            cfg = dataclasses.replace(cfg, assembly=pipeline.AssemblySettings(k_gen=cfg.k - 1))
+        elif change == "checkpoint":
+            params = DenoiserParams.load(out / "checkpoint.json")
+            params.tensors["node_head_b"] += 0.5
+            params.save(out / "checkpoint.json")
+        elif change == "schedule":  # the same schedule in other bytes
+            sched = json.loads((out / "schedule.json").read_text())
+            (out / "schedule.json").write_text(json.dumps(sched))
+        elif change == "no_provenance":  # a report as written before it had them
+            report = json.loads((out / "assembly_report.json").read_text())
+            del report["provenance"], report["union_sizes"]
+            (out / "assembly_report.json").write_text(json.dumps(report))
+        seen = spy_on_passes(monkeypatch)
+        got = progressive_csv(cfg)
+        assert len(seen) == 1
+        fresh = copy_out(cfg, tmp_path / "fresh", drop=("assembly_report.json",))
+        assert got == progressive_csv(fresh)
+
+    @pytest.mark.parametrize("edit", ["truncated", "extended", "header", "garbled",
+                                      "union_sizes"])
+    def test_mismatched_pass_exits_2_naming_the_file(self, trained, tmp_path, capsys,
+                                                     edit):
+        out = tmp_path / "out"
+        cfg = copy_out(trained["cfg"], out)
+        pipeline.cmd_generate(cfg)
+        synth = out / "synthetic.edgelist"
+        lines = synth.read_text().splitlines(keepends=True)
+        n = int(lines[0][2:])
+        if edit == "truncated":
+            synth.write_text("".join(lines[:-1]))
+        elif edit == "extended":
+            present = {tuple(map(int, l.split())) for l in lines[1:]}
+            extra = next((u, v) for u in range(n) for v in range(u + 1, n)
+                         if (u, v) not in present)
+            synth.write_text("".join(lines) + "%d %d\n" % extra)
+        elif edit == "header":
+            synth.write_text(f"n={n + 1}\n" + "".join(lines[1:]))
+        elif edit == "garbled":
+            synth.write_text("".join(lines[:-1]) + "1 x\n")
+        elif edit == "union_sizes":
+            report = json.loads((out / "assembly_report.json").read_text())
+            report["union_sizes"] = [3, 2]
+            (out / "assembly_report.json").write_text(json.dumps(report))
+        rc = cli.main(["progressive", "--config", trained["cfg_path"], "--out", str(out)])
+        assert rc == 2
+        name = "assembly_report.json" if edit == "union_sizes" else "synthetic.edgelist"
+        assert str(out / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generated", [False, True])
+    def test_bad_fractions_exit_2_on_either_path(self, trained, tmp_path, capsys,
+                                                 generated):
+        out = tmp_path / "out"
+        cfg = copy_out(trained["cfg"], out)
+        if generated:
+            pipeline.cmd_generate(cfg)
+        rc = cli.main(["progressive", "--config", trained["cfg_path"], "--out", str(out),
+                       "--fractions", "0.9,0.4"])
+        assert rc == 2 and "fractions" in capsys.readouterr().err
