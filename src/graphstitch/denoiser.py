@@ -228,21 +228,25 @@ class _Layout:
             arr.setflags(write=False)
 
 
-@lru_cache(maxsize=64)
-def _layout(ks):
-    return _Layout(ks)
+@lru_cache(maxsize=8)
+def _sample_layout(k):
+    """The layout of one sample of k nodes, which predict reuses at every
+    reverse step."""
+    return _Layout([k])
 
 
-def _forward(params, block, sched, work=None):
+def _forward(params, block, sched, work=None, lay=None):
     """Forward pass over a block of NoisySample stacked as one disjoint union
     (see _Layout). Returns (p_x, p_e, cache) with rows in stacked order.
 
     work, if given, is a (2, rows, 2h) buffer with rows >= the block's pair
-    count; the pair head's pre-activations are built in it.
+    count; the pair head's pre-activations are built in it. lay, if given,
+    is the block's _Layout.
     """
     t = params.tensors
     h = params.h
-    lay = _layout(tuple(s.k for s in block))
+    if lay is None:
+        lay = _Layout([s.k for s in block])
     N, seg, I, J = lay.N, lay.seg, lay.I, lay.J
     x_t = np.concatenate([s.x_t for s in block])
     e_t = np.concatenate([s.e_t for s in block]).astype(np.int64)
@@ -308,7 +312,7 @@ def predict(params, noisy, sched):
     """(p_x, p_e): rows are distributions over node IDs / pair states."""
     if len(sched.m_x) != params.n:
         raise InvalidParameter("schedule and params disagree on parent size")
-    p_x, p_e, _ = _forward(params, [noisy], sched)
+    p_x, p_e, _ = _forward(params, [noisy], sched, lay=_sample_layout(noisy.k))
     return p_x, p_e
 
 
@@ -394,18 +398,20 @@ def _backward(params, cache, x_clean, e_clean, lam, grads):
     grads["time_b"] += dtv.sum(axis=0)
 
 
-def _loss_and_grad(params, batch, sched, lam):
+def _loss_and_grad(params, batch, sched, lam, work=None):
     """Mean loss over a batch of NoisySample (base = clean), plus gradients.
 
     The batch runs in blocks of BLOCK_SAMPLES whole samples; each block is
-    one forward and one backward over the stacked samples.
+    one forward and one backward over the stacked samples. work, if given,
+    is the pair head's (2, rows, 2h) buffer, with rows for the largest block.
     """
     grads = params.zeros_like()
     total = 0.0
     blocks = [batch[lo:lo + BLOCK_SAMPLES] for lo in range(0, len(batch), BLOCK_SAMPLES)]
-    # one pair-head buffer for every block: freeing and re-allocating
-    # (pairs, 2h) arrays per block costs a page fault per 4 KB
-    work = np.empty((2, max(sum(s.e_t.size for s in b) for b in blocks), 2 * params.h))
+    if work is None:
+        # one pair-head buffer for every block: freeing and re-allocating
+        # (pairs, 2h) arrays per block costs a page fault per 4 KB
+        work = np.empty((2, max(sum(s.e_t.size for s in b) for b in blocks), 2 * params.h))
     for block in blocks:
         p_x, p_e, cache = _forward(params, block, sched, work)
         x_clean = np.concatenate([s.base.id_map for s in block])
@@ -462,6 +468,14 @@ def train(corpus, sched, cfg):
     v = params.zeros_like()
     trace = np.zeros(cfg.steps)
     keys = sorted(params.tensors)
+    # the pair-head buffer of the largest block any step can draw, made once:
+    # a fresh one per step would page-fault in again. One of its size is
+    # freed first: glibc then raises its mmap threshold to that size and its
+    # trim threshold to twice it, so the smaller per-block temporaries reuse
+    # heap pages instead of being mapped and faulted in anew every block
+    rows = min(cfg.batch, BLOCK_SAMPLES) * int(np.diff(corpus.pair_ptr).max())
+    np.empty((2, rows, 2 * cfg.h))
+    work = np.empty((2, rows, 2 * cfg.h))
     for step in range(cfg.steps):
         rng = substream(cfg.seed, "train-step", step)
         idx = rng.integers(0, len(corpus), size=cfg.batch)
@@ -469,7 +483,7 @@ def train(corpus, sched, cfg):
         batch = [forward_noise(corpus[int(i)], int(t), sched, rng,
                                freeze_nodes=cfg.freeze_node_ids)
                  for i, t in zip(idx, ts)]
-        loss_val, grads = _loss_and_grad(params, batch, sched, cfg.lam)
+        loss_val, grads = _loss_and_grad(params, batch, sched, cfg.lam, work)
         if not np.isfinite(loss_val):
             raise RuntimeError(f"non-finite loss {loss_val} at step {step}")
         trace[step] = loss_val

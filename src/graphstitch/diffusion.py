@@ -124,14 +124,9 @@ def cosine_alpha_bar(T, s=COSINE_OFFSET):
 
 def corpus_marginals(corpus):
     """(m_x, m_e): node-ID and pair-state frequencies over the corpus."""
-    counts = np.bincount(np.concatenate([s.id_map for s in corpus]),
-                         minlength=corpus.n_parent).astype(np.float64)
-    present = 0
-    pairs = 0
-    for sample in corpus:
-        k = sample.num_nodes
-        pairs += k * (k - 1) // 2
-        present += sample.local.num_edges
+    counts = np.bincount(corpus.ids, minlength=corpus.n_parent).astype(np.float64)
+    pairs = corpus.states.size
+    present = int(np.count_nonzero(corpus.states))
     total = counts.sum()
     if total == 0:
         raise InvalidParameter("corpus has no nodes")

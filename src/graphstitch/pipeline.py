@@ -177,7 +177,14 @@ def _read_corpus(cfg):
     if type(meta[0]) is not int or meta[0] < 1:
         raise ConfigError(f"corpus stats {path}: n_parent must be a positive integer, "
                           f"got {meta[0]!r}")
-    return sampling.read_corpus_jsonl(_path(cfg, "corpus.jsonl"), *meta)
+    corpus_path = _path(cfg, "corpus.jsonl")
+    corpus = sampling.read_corpus_jsonl(corpus_path, *meta)
+    if "count" in stats and (type(stats["count"]) is not int
+                             or stats["count"] != len(corpus)):
+        raise ConfigError(f"corpus {corpus_path} holds {len(corpus)} samples, but "
+                          f"corpus stats {path} records count {stats['count']!r}; "
+                          "re-run sample")
+    return corpus
 
 
 def cmd_train(cfg):

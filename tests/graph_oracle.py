@@ -8,9 +8,13 @@ per-node loop over neighbor lists for `induced_subgraph`, scipy components
 of a whole `Graph` for the component labels and the largest component, and
 an Ego halving loop that builds an intermediate `Graph` for every round, a
 random walk that steps one walk at a time off its own (node, repetition)
-substream, and an SBM that draws every node pair in one call. Tests compare
-the fast kernels, Ego corpora, RW walks and SBM graphs against them.
+substream, and an SBM that draws every node pair in one call. `build_corpus`
+and `write_corpus_jsonl` are the corpus as it was built and written before
+it was packed: each sample induced and formatted on its own. Tests compare
+the fast kernels, corpora, RW walks and SBM graphs against them.
 """
+
+import json
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,8 +111,9 @@ def two_hop_neighborhood(g, v):
     return np.unique(np.concatenate(parts))
 
 
-def sample_ego(g, k, d, seed=0):
-    samples = []
+def ego_sets(g, k, d, seed=0):
+    """The node set of each Ego sample, in (node, repetition) order."""
+    sets = []
     for v in range(g.n):
         for rep in range(d):
             rng = substream(seed, "ego", v, rep)
@@ -116,9 +121,28 @@ def sample_ego(g, k, d, seed=0):
             while nodes.size > k:
                 drop = rng.choice(nodes.size, size=nodes.size // 2, replace=False)
                 nodes = induced_lcc(g, np.delete(nodes, drop))
-            sub, id_map = induced_subgraph(g, nodes)
-            samples.append(SubgraphSample(sub, id_map, g.n))
+            sets.append(nodes)
+    return sets
+
+
+def sample_ego(g, k, d, seed=0):
+    samples = [SubgraphSample(*induced_subgraph(g, nodes), g.n)
+               for nodes in ego_sets(g, k, d, seed)]
     return SampleCorpus(samples, "Ego", k, d)
+
+
+def lockstep_walk_sets(g, k, d, seed=0):
+    """The visited set of each lockstep RW walk (one substream per
+    repetition), in (start node, repetition) order, each by np.unique."""
+    walks = np.repeat(np.arange(g.n), d * (k + 1)).reshape(g.n, d, k + 1)
+    moving = np.flatnonzero(g.degrees > 0)
+    for rep in range(d):
+        rng = substream(seed, "rw", rep)
+        cur = moving
+        for step in range(1, k + 1):
+            cur = g.random_neighbors(cur, rng)
+            walks[moving, rep, step] = cur
+    return [np.unique(walk) for walk in walks.reshape(-1, k + 1)]
 
 
 def sample_random_walk(g, k, d, seed=0):
@@ -149,9 +173,24 @@ def sbm_graph(block_sizes, p_in, p_out, seed=0):
     return Graph(n, np.column_stack([iu[keep], ju[keep]]))
 
 
-def build_ego_corpus(g, k, d, seed=0):
-    """build_corpus(g, "Ego", k, d, seed=seed), run on the kernels above."""
-    corpus = sample_ego(g, k, d, seed=seed)
-    perm = substream(seed, "shuffle").permutation(len(corpus))
-    corpus.samples = [corpus.samples[i] for i in perm]
-    return corpus
+def build_corpus(g, scheme, k, d=5, count=None, seed=0):
+    """sampling.build_corpus's samples, in its order, as a list of
+    SubgraphSample each made from its own per-node induced_subgraph; Unif
+    needs `count`."""
+    if scheme == "Unif":
+        sets = [substream(seed, "unif", i).choice(g.n, size=k, replace=False)
+                for i in range(count)]
+    elif scheme == "RW":
+        sets = lockstep_walk_sets(g, k, d, seed)
+    else:
+        sets = ego_sets(g, k, d, seed)
+    perm = substream(seed, "shuffle").permutation(len(sets))
+    return [SubgraphSample(*induced_subgraph(g, sets[i]), g.n) for i in perm]
+
+
+def write_corpus_jsonl(samples, path):
+    """One json.dumps line per sample, from its local Graph's edge array."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in samples:
+            obj = {"edges": sample.local.edge_array.tolist(), "ids": sample.id_map.tolist()}
+            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")

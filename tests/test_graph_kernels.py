@@ -1,5 +1,6 @@
-"""Gather-based induced subgraphs, components and Ego corpora against the
-per-node and Graph-per-round kernels in graph_oracle, the pair codes every
+"""Gather-based induced subgraphs and components, and packed Unif, RW and
+Ego corpora, against the per-node, Graph-per-round and per-sample kernels
+in graph_oracle, the pair codes every
 Graph keeps, and the CSR built from them (with its scipy wrapper, per-node
 triangles and clustering) against graph_oracle and metric_oracle."""
 
@@ -17,7 +18,8 @@ from graphstitch.errors import InvalidNodeSet
 from graphstitch.graphs import (Graph, _component_labels, _induced_pairs, decode_pairs,
                                 induced_subgraph, largest_connected_component, pair_codes)
 from graphstitch.metrics import _per_node_triangles, degree_stats
-from graphstitch.sampling import build_corpus, two_hop_neighborhood, write_corpus_jsonl
+from graphstitch.sampling import (SCHEMES, SampleCorpus, build_corpus, two_hop_neighborhood,
+                                  write_corpus_jsonl)
 from graphstitch.sbm import sbm_graph
 
 
@@ -266,9 +268,42 @@ def test_two_hop_matches_oracle(g, data):
     assert np.array_equal(two_hop_neighborhood(g, v), oracle.two_hop_neighborhood(g, v))
 
 
-def corpus_bytes(corpus, path):
-    write_corpus_jsonl(corpus, path)
+def isolated_and_cycles():
+    """Four isolated nodes (singleton walks and ego sets) beside a path and a
+    triangle, on which every k-step walk revisits nodes."""
+    return Graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+
+
+CORPUS_GRAPHS = pytest.mark.parametrize("g, k, d", [
+    (sbm_graph([24, 24, 24, 24], 0.8, 0.1, seed=1), 12, 2),
+    (chung_lu_like(300, 6.0, 2.3, seed=5), 10, 1),
+    (isolated_and_cycles(), 6, 3),
+], ids=["dense-sbm", "heavy-tailed", "isolated-revisits"])
+
+
+def oracle_bytes(g, scheme, k, d, path):
+    oracle.write_corpus_jsonl(oracle.build_corpus(g, scheme, k, d, count=50, seed=7), path)
     return path.read_bytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@CORPUS_GRAPHS
+def test_packed_corpus_matches_per_sample_oracle(tmp_path, g, k, d, scheme):
+    got = build_corpus(g, scheme, k, d, count=50, seed=7)
+    want = oracle.build_corpus(g, scheme, k, d, count=50, seed=7)
+    assert len(got) == len(want)
+    for view, sample in zip(got, want):
+        assert np.array_equal(view.id_map, sample.id_map)
+        assert np.array_equal(view.edge_states(), sample.edge_states())
+        assert view.local == sample.local
+    packed = SampleCorpus(want, scheme, k, d)
+    for name in ("ids", "ptr", "states", "pair_ptr"):
+        assert np.array_equal(getattr(got, name), getattr(packed, name)), name
+    write_corpus_jsonl(got, tmp_path / "got.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == \
+        oracle_bytes(g, scheme, k, d, tmp_path / "want.jsonl")
+    if scheme == "RW" and g.n == 12:  # singletons, and walks that came back
+        assert (got.sizes == 1).any() and (got.sizes[got.sizes > 1] < k + 1).all()
 
 
 @pytest.mark.parametrize("g, k, d", [
@@ -276,9 +311,8 @@ def corpus_bytes(corpus, path):
     (chung_lu_like(300, 6.0, 2.3, seed=5), 10, 1),
 ], ids=["dense-sbm", "heavy-tailed"])
 def test_ego_corpus_byte_identical_to_oracle(tmp_path, g, k, d):
-    got = build_corpus(g, "Ego", k, d, seed=7)
-    want = oracle.build_ego_corpus(g, k, d, seed=7)
-    assert corpus_bytes(got, tmp_path / "got.jsonl") == \
-        corpus_bytes(want, tmp_path / "want.jsonl")
+    write_corpus_jsonl(build_corpus(g, "Ego", k, d, seed=7), tmp_path / "got.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == \
+        oracle_bytes(g, "Ego", k, d, tmp_path / "want.jsonl")
     # the halving loop actually ran: some 2-hop balls were above k
     assert max(two_hop_neighborhood(g, v).size for v in range(g.n)) > 2 * k

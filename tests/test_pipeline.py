@@ -512,6 +512,20 @@ class TestCLI:
         if line is not None:
             assert f"line {line}:" in err
 
+    def test_exit_code_2_on_truncated_corpus(self, tmp_path, capsys):
+        dataset = tmp_path / "d.edgelist"
+        save_edge_list(sbm_graph([10, 10], 0.4, 0.1, seed=0), dataset)
+        assert cli.main(["sample", "--dataset", str(dataset), "--k", "4", "--d", "1",
+                         "--out", str(tmp_path)]) == 0
+        corpus = tmp_path / "corpus.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(lines[:-3]))  # whole lines gone: each left is valid
+        capsys.readouterr()
+        assert cli.main(["train", "--steps", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus) in err and str(tmp_path / "corpus_stats.json") in err
+        assert "holds 17 samples" in err
+
     def test_scheme_choices_are_schemes(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -11,11 +11,12 @@ from graphstitch import sampling
 from graphstitch.errors import InvalidParameter
 from graphstitch.graphs import Graph, is_connected
 from graphstitch.rng import substream
-from graphstitch.sampling import (build_corpus, corpus_stats, local_pairs,
+from graphstitch.sampling import (SCHEMES, build_corpus, corpus_stats, local_pairs,
                                   read_corpus_jsonl, required_sample_count,
                                   sample_ego, sample_random_walk,
                                   sample_uniform, two_hop_neighborhood,
                                   write_corpus_jsonl)
+from graphstitch.sbm import sbm_graph
 
 
 def star(leaves):
@@ -252,6 +253,73 @@ class TestSerialization:
         assert stats["n_parent"] == 10
         assert sum(stats["size_histogram"].values()) == 10
         assert 0.0 <= stats["edge_density"] <= 1.0
+
+    def test_corpus_stats_match_per_sample_sums(self):
+        # singletons (no pairs) among the samples, first and last included
+        g = Graph(9, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)])
+        corpus = build_corpus(g, "RW", k=3, d=2, seed=1)
+        assert corpus.sizes[0] == 1 or corpus.sizes[-1] == 1
+        stats = corpus_stats(corpus)
+        edges = np.array([s.local.num_edges for s in corpus])
+        pairs = sum(s.num_nodes * (s.num_nodes - 1) // 2 for s in corpus)
+        assert stats["mean_edges"] == float(edges.mean())
+        assert stats["edge_density"] == float(edges.sum()) / pairs
+        assert stats["size_histogram"] == Counter(str(s.num_nodes) for s in corpus)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_write_read_write_same_bytes(self, tmp_path, scheme):
+        g = sbm_graph([15, 15], 0.4, 0.05, seed=2)
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        corpus = build_corpus(g, scheme, k=6, d=2, count=40, seed=3)
+        write_corpus_jsonl(corpus, first)
+        back = read_corpus_jsonl(first, g.n, scheme, 6, corpus.d)
+        write_corpus_jsonl(back, again)
+        assert again.read_bytes() == first.read_bytes()
+        for name in ("ids", "ptr", "states"):
+            assert np.array_equal(getattr(back, name), getattr(corpus, name))
+
+    def test_read_lines_in_any_json_form(self, tmp_path, monkeypatch):
+        # written lines, checked in blocks of two, around lines with spaces,
+        # reversed and repeated pairs, and a blank line
+        monkeypatch.setattr(sampling, "LINE_CHUNK", 2)
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"edges":[[0,1]],"ids":[3,7]}\n'
+                        '{"edges": [[2, 0], [0, 2], [1, 2]], "ids": [0, 1, 5]}\n'
+                        '\n'
+                        '{"edges":[],"ids":[4]}\n'
+                        '{"edges":[[0,2]],"ids":[1,2,3]}\n'
+                        '{"ids": [8, 9], "edges": []}\n')
+        corpus = read_corpus_jsonl(path, 10, "RW", 3, 1)
+        assert [s.id_map.tolist() for s in corpus] == [[3, 7], [0, 1, 5], [4], [1, 2, 3], [8, 9]]
+        assert [s.edge_states().tolist() for s in corpus] == [[1], [0, 1, 1], [], [0, 1, 0], [0]]
+
+    @pytest.mark.parametrize("bad, why", [
+        ('{"edges":[[0,1]],"ids":[03,7]}', "not JSON"),
+        ('{"edges":[[0,2]],"ids":[3,7]}', "edges: edge endpoint out of range"),
+        ('{"edges":[[1,1]],"ids":[3,7]}', "edges: self-loops are not allowed"),
+        ('{"edges":[],"ids":[7,3]}', "ids must be strictly increasing"),
+        ('{"edges":[],"ids":[3,10]}', "ids must be strictly increasing"),
+        ('{"edges":[],"ids":[3,99999999999999999999]}', "ids must be strictly increasing"),
+    ])
+    def test_bad_written_line_named_in_any_block(self, tmp_path, monkeypatch, bad, why):
+        monkeypatch.setattr(sampling, "LINE_CHUNK", 3)
+        good = '{"edges":[[0,1]],"ids":[3,7]}\n'
+        path = tmp_path / "c.jsonl"
+        for at in range(1, 6):
+            path.write_text(good * (at - 1) + bad + "\n" + good * (6 - at))
+            with pytest.raises(InvalidParameter, match=re.escape(f"line {at}: {why}")):
+                read_corpus_jsonl(path, 10, "RW", 3, 1)
+
+
+def test_view_edge_states_read_only_and_fixed():
+    corpus = build_corpus(sbm_graph([8, 8], 0.5, 0.1, seed=0), "RW", k=4, d=1, seed=2)
+    for s in (corpus[3], corpus[-1]):
+        states = s.edge_states()
+        assert states.dtype == np.int8 and not states.flags.writeable
+        assert not s.id_map.flags.writeable
+        assert s.edge_states() is states
+        assert s._local is None  # no Graph until local is read
+        assert s.local.num_edges == int(states.sum())
 
 
 def test_edge_states_cached_read_only():
