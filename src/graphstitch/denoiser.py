@@ -18,10 +18,10 @@ from itertools import accumulate
 
 import numpy as np
 
-# scipy.sparse is imported inside _scatter_matrix, the one function that
-# uses it, so commands that never train do not load it (see graphs)
+# no scipy: train's process loads numpy alone (tests/test_startup.py)
 from .diffusion import forward_noise
 from .errors import InvalidParameter
+from .graphs import scatter_add
 from .rng import substream
 from .sampling import local_pairs
 
@@ -197,17 +197,6 @@ def _softmax_(z):
     return z
 
 
-def _scatter_matrix(index, size):
-    """Sparse (size, len(index)) 0/1 matrix S: S @ V adds row q of V to row
-    index[q], or to each row index[q, :] when index is 2-D."""
-    import scipy.sparse as sp
-    index = np.asarray(index)
-    m = len(index)
-    r = index.size // m if m else 1
-    return sp.csc_matrix((np.ones(m * r), index.ravel(), np.arange(0, m * r + 1, r)),
-                         shape=(size, m))
-
-
 class _Layout:
     """Index arrays of samples with sizes ks stacked as one disjoint union.
 
@@ -362,10 +351,10 @@ def _backward(params, cache, x_clean, e_clean, lam, grads):
         np.subtract(1.0, dU, out=dU)
         dU.reshape(-1, 2, h)[...] *= dA[:, None, :]
         # send each pair row back to row i of H @ [Wa | Wb] and row e*N + j of G
-        d = _scatter_matrix(np.column_stack([I, N + cache["Je"]]), 3 * N) @ dU
-        dHa = d[:N]
-        dHb = d[N:2 * N] + d[2 * N:]
-        db_e = np.stack([d[N:2 * N].sum(axis=0), d[2 * N:].sum(axis=0)])
+        dHa = scatter_add(I, dU, N)
+        dG = scatter_add(cache["Je"], dU, 2 * N)
+        dHb = dG[:N] + dG[N:]
+        db_e = np.stack([dG[:N].sum(axis=0), dG[N:].sum(axis=0)])
         db_e = db_e[:, :h] + db_e[:, h:]
         g1 = grads["edge_head_w1"]
         w1 = t["edge_head_w1"]
@@ -392,7 +381,7 @@ def _backward(params, cache, x_clean, e_clean, lam, grads):
         dH += cache["P"].T @ (dU @ t[f"layer{l}.w_msg"].T)
         dH += (dc / lay.ks[:, None])[lay.seg]
 
-    grads["node_embed"] += _scatter_matrix(cache["x_t"], params.n) @ dH
+    grads["node_embed"] += scatter_add(cache["x_t"], dH, params.n)
     dtv = np.add.reduceat(dH, lay.starts, axis=0)
     grads["time_w"] += cache["feats"].T @ dtv
     grads["time_b"] += dtv.sum(axis=0)
@@ -405,6 +394,8 @@ def _loss_and_grad(params, batch, sched, lam, work=None):
     one forward and one backward over the stacked samples. work, if given,
     is the pair head's (2, rows, 2h) buffer, with rows for the largest block.
     """
+    if not batch:
+        raise InvalidParameter("the batch is empty: the mean loss needs a sample")
     grads = params.zeros_like()
     total = 0.0
     blocks = [batch[lo:lo + BLOCK_SAMPLES] for lo in range(0, len(batch), BLOCK_SAMPLES)]

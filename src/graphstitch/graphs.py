@@ -30,6 +30,15 @@ def decode_pairs(codes, n):
     return np.column_stack([codes // n, codes % n])
 
 
+def scatter_add(index, rows, size):
+    """(size, C) array whose row r sums the rows[q] with index[q] == r, one
+    at a time in the order of q (bincount), with the bits of a 0/1 product."""
+    c = rows.shape[1]
+    codes = np.asarray(index, dtype=np.int64)[:, None] * c + np.arange(c)
+    return np.bincount(codes.ravel(), weights=rows.ravel(),
+                       minlength=size * c).reshape(size, c)
+
+
 class Graph:
     """Immutable undirected simple graph on nodes 0..n-1.
 

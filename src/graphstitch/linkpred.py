@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NegativeSamplingExhausted
-from .graphs import decode_pairs, pair_codes
+from .graphs import decode_pairs, pair_codes, scatter_add
 from .rng import substream
 
 MAX_NEGATIVE_DRAWS = 1_000_000
@@ -107,19 +107,18 @@ def train_link_predictor(synthetic, h=16, epochs=500, lr=1.0, seed=0):
     for epoch in range(epochs):
         rng = substream(seed, "lp-epoch", epoch)
         neg = _sample_non_edges(synthetic, m, rng)
-        s_pos = 1.0 / (1.0 + np.exp(-((z[pos[:, 0]] * z[pos[:, 1]]).sum(axis=1) + bias)))
-        s_neg = 1.0 / (1.0 + np.exp(-((z[neg[:, 0]] * z[neg[:, 1]]).sum(axis=1) + bias)))
-        trace[epoch] = float(-(np.log(np.clip(s_pos, 1e-12, None)).sum()
-                               + np.log(np.clip(1.0 - s_neg, 1e-12, None)).sum()) / (2 * m))
+        u, v = np.concatenate([pos, neg]).T  # positives, then negatives
+        zu, zv = z[u], z[v]
+        s = 1.0 / (1.0 + np.exp(-((zu * zv).sum(axis=1) + bias)))
+        trace[epoch] = float(-(np.log(np.clip(s[:m], 1e-12, None)).sum()
+                               + np.log(np.clip(1.0 - s[m:], 1e-12, None)).sum()) / (2 * m))
         # d loss / d logit, already averaged
-        gp = -(1.0 - s_pos) / (2 * m)
-        gn = s_neg / (2 * m)
-        dz = np.zeros_like(z)
-        np.add.at(dz, pos[:, 0], gp[:, None] * z[pos[:, 1]])
-        np.add.at(dz, pos[:, 1], gp[:, None] * z[pos[:, 0]])
-        np.add.at(dz, neg[:, 0], gn[:, None] * z[neg[:, 1]])
-        np.add.at(dz, neg[:, 1], gn[:, None] * z[neg[:, 0]])
-        db = gp.sum() + gn.sum()
+        g = np.concatenate([-(1.0 - s[:m]), s[m:]]) / (2 * m)
+        du, dv = g[:, None] * zv, g[:, None] * zu
+        # terms grouped in the order of tests/linkpred_oracle.py, which fixes dz's bits
+        dz = scatter_add(np.concatenate([u[:m], v[:m], u[m:], v[m:]]),
+                         np.concatenate([du[:m], dv[:m], du[m:], dv[m:]]), n)
+        db = g[:m].sum() + g[m:].sum()
         z -= lr * dz
         bias -= lr * db
     return EmbeddingModel(z, float(bias)), trace

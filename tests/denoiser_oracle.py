@@ -4,12 +4,31 @@ This is the loop the blocked implementation in `graphstitch.denoiser`
 replaced: one sample at a time, dense k x k message passing, and the pair
 head's first layer applied to concatenated [H_i, H_j, onehot(e_t)] rows.
 Tests compare the blocked loss, gradients and predictions against it.
+
+`scatter_matrix` is the sparse 0/1 product the blocked backward used to
+scatter rows before `graphs.scatter_add`; tests compare the two bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from graphstitch.denoiser import TIME_FEATURES
 from graphstitch.sampling import local_pairs
+
+
+def scatter_matrix(index, size):
+    """Sparse (size, len(index)) 0/1 matrix S: S @ V adds row q of V to row
+    index[q], or to each row index[q, :] when index is 2-D."""
+    index = np.asarray(index)
+    m = len(index)
+    r = index.size // m if m else 1
+    return sp.csc_matrix((np.ones(m * r), index.ravel(), np.arange(0, m * r + 1, r)),
+                         shape=(size, m))
+
+
+def scatter_add(index, rows, size):
+    """graphs.scatter_add by the sparse product."""
+    return scatter_matrix(index, size) @ rows
 
 
 def _time_features(t, T):

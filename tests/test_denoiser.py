@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 import denoiser_oracle as oracle
+from graphstitch import denoiser
 from graphstitch.denoiser import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_SAMPLES,
                                   DenoiserParams, DenoiserSettings, TrainConfig,
                                   grad, loss, predict, train, write_loss_csv,
                                   _adam_update, _forward, _loss_and_grad)
 from graphstitch.diffusion import build_schedule, forward_noise, NoisySample
 from graphstitch.errors import InvalidParameter
-from graphstitch.graphs import Graph, induced_subgraph
+from graphstitch.graphs import Graph, induced_subgraph, scatter_add
 from graphstitch.sampling import (SampleCorpus, SubgraphSample, build_corpus,
                                   local_pairs)
 from graphstitch.sbm import sbm_graph
+from test_graph_kernels import chung_lu_like
 
 
 def toy_setup(T=12, n=6, h=5, L=2, seed=0):
@@ -151,6 +153,11 @@ class TestGrad:
         for key in g_all:
             assert np.allclose(g_all[key], 0.5 * (g0[key] + g1[key]), atol=1e-12)
 
+    def test_empty_batch_is_invalid(self):
+        _, sched, params = toy_setup()
+        with pytest.raises(InvalidParameter, match="empty"):
+            grad(params, [], sched, 1.0)
+
     def test_includes_single_node_sample(self):
         from graphstitch.sampling import SubgraphSample
         corpus, sched, params = toy_setup()
@@ -214,6 +221,75 @@ class TestBlockedMatchesOracle:
             assert rel_err(p_x, q_x) <= 1e-12
             if q_e.size:
                 assert rel_err(p_e, q_e) <= 1e-12
+
+
+class TestScatterAdd:
+    """graphs.scatter_add against the sparse 0/1 product it replaced: equal
+    bit for bit, since both add each target's rows in input order."""
+
+    @pytest.mark.parametrize("m,size,cols", [(0, 5, 3), (1, 1, 4), (40, 7, 6),
+                                             (500, 60, 16), (333, 1000, 2)])
+    def test_equals_sparse_product(self, m, size, cols):
+        rng = np.random.default_rng(m + size)
+        # targets drawn from the lower half: repeats, untouched rows and
+        # size above the largest index
+        index = rng.integers(0, max(1, size // 2), size=m)
+        rows = rng.normal(size=(m, cols)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        rows[::7] = 0.0
+        got = scatter_add(index, rows, size)
+        want = oracle.scatter_add(index, rows, size)
+        assert got.shape == want.shape == (size, cols)
+        assert np.array_equal(got, want)
+        if m:
+            assert not got[max(1, size // 2):].any()
+
+    def test_disjoint_targets_split(self):
+        """One product onto [I, n + J] equals one scatter onto I and one onto
+        J: the two target ranges are disjoint, so each keeps its order."""
+        rng = np.random.default_rng(1)
+        n, m = 30, 400
+        i, j = rng.integers(0, n, m), rng.integers(0, 2 * n, m)
+        rows = rng.normal(size=(m, 8))
+        want = oracle.scatter_matrix(np.column_stack([i, n + j]), 3 * n) @ rows
+        got = np.concatenate([scatter_add(i, rows, n), scatter_add(j, rows, 2 * n)])
+        assert np.array_equal(got, want)
+
+
+def workload_batch(g, scheme, k, seed):
+    """32 noised samples of g's corpus (four blocks), a schedule and
+    width-64 parameters with every tensor moved off its initial value."""
+    corpus = build_corpus(g, scheme, k=k, d=1, seed=seed)
+    sched = build_schedule(100, corpus)
+    rng = np.random.default_rng(seed)
+    batch = [forward_noise(corpus[int(i)], int(t), sched, rng)
+             for i, t in zip(rng.integers(0, len(corpus), 32), rng.integers(1, 101, 32))]
+    params = DenoiserParams.init(g.n, 64, 2, seed=seed)
+    for tensor in params.tensors.values():
+        tensor += rng.normal(0, 0.1, tensor.shape)
+    return params, batch, sched
+
+
+class TestGradsMatchSparseScatter:
+    """The 17 gradients with scatter_add are those of the sparse-product
+    backward, bit for bit, at the benchmark workloads' shapes."""
+
+    @pytest.mark.parametrize("shape", ["sbm-k12-n120", "sbm-k20-n192", "chunglu-k20-n1000"])
+    def test_bit_identical(self, shape, monkeypatch):
+        g, scheme, k = {
+            "sbm-k12-n120": (sbm_graph([60, 60], 0.15, 0.01, seed=1), "RW", 12),
+            "sbm-k20-n192": (sbm_graph([48] * 4, 0.8, 0.1, seed=1), "Ego", 20),
+            "chunglu-k20-n1000": (chung_lu_like(1000, 8.0, 2.5, seed=1), "RW", 20),
+        }[shape]
+        params, batch, sched = workload_batch(g, scheme, k, seed=2)
+        assert len(batch) > BLOCK_SAMPLES
+        got_loss, got = _loss_and_grad(params, batch, sched, 8.0)
+        monkeypatch.setattr(denoiser, "scatter_add", oracle.scatter_add)
+        want_loss, want = _loss_and_grad(params, batch, sched, 8.0)
+        assert got_loss == want_loss
+        assert len(want) == 17 and got.keys() == want.keys()
+        for key in want:
+            assert np.count_nonzero(want[key]), key
+            assert np.array_equal(got[key], want[key]), key
 
 
 class TestBlockIndependence:

@@ -202,6 +202,17 @@ class TestTraining:
         assert np.array_equal(m1.z, m2.z) and m1.bias == m2.bias
         assert np.array_equal(t1, t2)
 
+    @pytest.mark.parametrize("g,h,epochs", [
+        (sbm_graph([12, 12], 0.5, 0.05, seed=2), 8, 40),
+        (sbm_graph([40, 40, 40], 0.3, 0.02, seed=4), 16, 25),
+    ])
+    def test_matches_epoch_loop_oracle(self, g, h, epochs):
+        model, trace = train_link_predictor(g, h=h, epochs=epochs, seed=3)
+        z, bias, want_trace = oracle.train_link_predictor(g, h=h, epochs=epochs, seed=3)
+        assert np.array_equal(model.z, z)
+        assert model.bias == bias
+        assert np.array_equal(trace, want_trace)
+
     def test_zero_epochs(self):
         g = Graph(4, [(0, 1), (2, 3)])
         model, trace = train_link_predictor(g, h=3, epochs=0, seed=0)

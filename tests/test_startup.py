@@ -73,17 +73,10 @@ def loaded(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["import", "fixture-sbm", "sample-RW", "sample-Unif",
-                                  "sample-Ego", "generate", "linkpred"])
+                                  "sample-Ego", "train", "generate", "linkpred"])
 def test_loads_no_scipy(loaded, name):
     assert loaded[name]["rc"] in (None, 0)
     assert loaded[name]["scipy"] == []
-
-
-def test_train_loads_sparse_without_csgraph(loaded):
-    got = loaded["train"]
-    assert got["rc"] == 0
-    assert "scipy.sparse" in got["scipy"]
-    assert not any(m.startswith("scipy.sparse.csgraph") for m in got["scipy"])
 
 
 @pytest.mark.parametrize("name", ["eval", "progressive"])
