@@ -74,43 +74,34 @@ def edge_target(fraction, total):
     return max(1, math.ceil(fraction * total))
 
 
-def union_snapshots(entry_codes, union_sizes, thresholds):
-    """Sorted pair codes of the union at each of the ascending `thresholds`.
+def snapshot_graphs(entry_codes, union_sizes, thresholds, n):
+    """A Graph on n nodes of a pass's union at each of the ascending
+    `thresholds`, sliced from the pass's record.
 
     The snapshot at threshold t is the union right after the first subgraph
     that brought it to >= t (a single subgraph may cross several): the first
     union_sizes[i] entry codes, for the first i with union_sizes[i] >= t.
-    The last union size must reach every threshold.
+    Thresholds that end at one prefix share one Graph. The last union size
+    must reach every threshold.
     """
     sizes = np.asarray(union_sizes, dtype=np.int64)
     ends = sizes[np.searchsorted(sizes, thresholds)].tolist()
-    prefixes = {m: np.sort(entry_codes[:m]) for m in set(ends)}
-    return [prefixes[m] for m in ends]
+    graphs = {m: Graph(n, decode_pairs(entry_codes[:m], n)) for m in set(ends)}
+    return [graphs[m] for m in ends]
 
 
-def snapshot_graphs(snapshots, n):
-    """A Graph on n nodes per snapshot of one pass; snapshots of one size
-    are the same prefix, and share one Graph."""
-    graphs = {}
-    for codes in snapshots:
-        if codes.size not in graphs:
-            graphs[codes.size] = Graph(n, decode_pairs(codes, n))
-    return [graphs[codes.size] for codes in snapshots]
+def _union_loop(make_subgraph, n, target):
+    """Generate-and-union until the union holds >= target edges; returns the
+    pass's record.
 
-
-def _union_loop(make_subgraph, n, thresholds):
-    """Generate-and-union until the last of the ascending `thresholds` is
-    reached.
-
-    Returns (snapshots, acc): the union_snapshots at `thresholds` and the
-    pass's record. Raises StalledAssembly after STALL_LIMIT consecutive
-    subgraphs that add no new edge.
+    Raises StalledAssembly after STALL_LIMIT consecutive subgraphs that add
+    no new edge.
     """
     acc = SynthAccumulator()
     union = set()  # Python ints: an insert costs the subgraph, not the union
     entered = []
     streak = 0
-    while acc.num_edges < thresholds[-1]:
+    while acc.num_edges < target:
         sub = make_subgraph(acc.subgraphs_used)
         ea = sub.id_map[sub.local.edge_array]
         codes = np.unique(pair_codes(ea[:, 0], ea[:, 1], n)).tolist()
@@ -119,25 +110,24 @@ def _union_loop(make_subgraph, n, thresholds):
         entered += new
         streak = 0 if new else streak + 1
         acc.union_sizes.append(len(union))
-        if acc.num_edges < thresholds[-1] and streak >= STALL_LIMIT:
+        if acc.num_edges < target and streak >= STALL_LIMIT:
             raise StalledAssembly(
                 f"{STALL_LIMIT} consecutive subgraphs added no new edges "
-                f"({acc.num_edges}/{thresholds[-1]} edges after "
+                f"({acc.num_edges}/{target} edges after "
                 f"{acc.subgraphs_used} subgraphs)",
                 edges=acc.num_edges, subgraphs_used=acc.subgraphs_used)
     acc.entry_codes = np.array(entered, dtype=np.int64)
-    acc.overshoot = acc.num_edges - thresholds[-1]
-    return union_snapshots(acc.entry_codes, acc.union_sizes, thresholds), acc
+    acc.overshoot = acc.num_edges - target
+    return acc
 
 
-def _assemble(params, sched, thresholds, k, seed):
-    """One assembly pass of generated subgraphs: a Graph per threshold and
-    the pass's record."""
+def _pass(params, sched, target, k, seed):
+    """The record of one assembly pass of generated subgraphs to `target`
+    edges; subgraph i is drawn from substream(seed, "assemble", i)."""
     def make(i):
         return generate_subgraph(params, sched, k, substream(seed, "assemble", i))
 
-    snapshots, acc = _union_loop(make, params.n, thresholds)
-    return snapshot_graphs(snapshots, params.n), acc
+    return _union_loop(make, params.n, target)
 
 
 def assemble(params, sched, target_edges, k, seed):
@@ -148,8 +138,8 @@ def assemble(params, sched, target_edges, k, seed):
     """
     if target_edges < 1:
         raise InvalidParameter("target_edges must be >= 1")
-    graphs, acc = _assemble(params, sched, [target_edges], k, seed)
-    return graphs[0], acc
+    acc = _pass(params, sched, target_edges, k, seed)
+    return Graph(params.n, decode_pairs(acc.entry_codes, params.n)), acc
 
 
 def snapshot_thresholds(fractions, total_edges):
@@ -174,5 +164,6 @@ def progressive_assemble(params, sched, fractions, total_edges, k, seed):
     assembly pass, so later snapshots are supersets of earlier ones.
     """
     fr, thresholds = snapshot_thresholds(fractions, total_edges)
-    graphs, _ = _assemble(params, sched, thresholds, k, seed)
-    return list(zip(fr, graphs))
+    acc = _pass(params, sched, thresholds[-1], k, seed)
+    return list(zip(fr, snapshot_graphs(acc.entry_codes, acc.union_sizes,
+                                        thresholds, params.n)))

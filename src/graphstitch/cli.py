@@ -6,7 +6,7 @@
     graphstitch eval       --config cfg.json
     graphstitch linkpred   --config cfg.json
     graphstitch progressive --config cfg.json
-    graphstitch fixture-sbm --blocks 4 --block-size 400 --p-in 0.15 --p-out 0.01
+    graphstitch fixture-sbm --sizes 400,400,400,400 --p-in 0.15 --p-out 0.01
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime failure.
 """
@@ -19,7 +19,7 @@ from .errors import (ConfigError, InvalidNodeSet, InvalidParameter, ParseError)
 from .sampling import SCHEMES
 
 # argparse dests that are not config keys
-_NOT_KEYS = ("command", "config", "blocks", "block_size", "sizes", "p_in", "p_out")
+_NOT_KEYS = ("command", "config", "sizes", "p_in", "p_out")
 
 
 def float_list(text):
@@ -90,10 +90,8 @@ def build_parser():
 
     p = sub.add_parser("fixture-sbm", help="write a stochastic block model dataset")
     _add_common(p)
-    p.add_argument("--blocks", type=int, default=4, help="number of blocks")
-    p.add_argument("--block-size", type=int, default=400, dest="block_size")
-    p.add_argument("--sizes", type=int_list,
-                   help="comma list of block sizes (overrides --blocks)")
+    p.add_argument("--sizes", type=int_list, default=[400, 400, 400, 400],
+                   help="comma list of block sizes")
     p.add_argument("--p-in", type=float, default=0.15, dest="p_in")
     p.add_argument("--p-out", type=float, default=0.01, dest="p_out")
 
@@ -119,8 +117,7 @@ def main(argv=None):
     try:
         cfg = _build_config(args)
         if args.command == "fixture-sbm":
-            sizes = args.sizes or [args.block_size] * args.blocks
-            paths = pipeline.cmd_fixture_sbm(cfg, sizes, args.p_in, args.p_out)
+            paths = pipeline.cmd_fixture_sbm(cfg, args.sizes, args.p_in, args.p_out)
         else:
             paths = getattr(pipeline, f"cmd_{args.command}")(cfg)
     except (ConfigError, ParseError, InvalidParameter, InvalidNodeSet,

@@ -6,6 +6,8 @@ into the output directory. Every command is deterministic given (config,
 seed): re-running produces byte-identical files.
 """
 
+import csv
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -278,9 +280,12 @@ def cmd_linkpred(cfg):
     dataset = os.path.basename(cfg.dataset)
     results = {"method": "embedding-dot", "dataset": dataset,
                "auc": auc, "ap": ap, "seed": cfg.seed}
-    csv = f"method,dataset,auc,ap,seed\nembedding-dot,{dataset},{auc!r},{ap!r},{cfg.seed}\n"
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows(
+        [("method", "dataset", "auc", "ap", "seed"),
+         ("embedding-dot", dataset, auc, ap, cfg.seed)])
     return {"results": _write(cfg, "linkpred.json", _json(results)),
-            "csv": _write(cfg, "linkpred.csv", csv)}
+            "csv": _write(cfg, "linkpred.csv", table.getvalue())}
 
 
 def _union_sizes(report, path):
@@ -318,7 +323,7 @@ def _generated_snapshots(cfg, n, provenance, thresholds):
         raise ConfigError(f"synthetic edge list {path} has n={n_file} and {codes.size} "
                           f"edges, but {report_path} records a pass on n={n} nodes "
                           f"that made {sizes[-1]}; re-run generate")
-    return assembly.snapshot_graphs(assembly.union_snapshots(codes, sizes, thresholds), n)
+    return assembly.snapshot_graphs(codes, sizes, thresholds, n)
 
 
 def cmd_progressive(cfg):

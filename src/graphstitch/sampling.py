@@ -111,7 +111,11 @@ class SampleCorpus:
 
     def __init__(self, samples, scheme, k, d):
         self.scheme, self.k, self.d = scheme, k, d
-        self.samples = samples
+        ids = [np.asarray(s.id_map, dtype=np.int64) for s in samples]
+        self._pack(np.concatenate([np.empty(0, np.int64)] + ids),
+                   _offsets([len(a) for a in ids]),
+                   np.concatenate([np.empty(0, np.int8)] + [s.edge_states() for s in samples]),
+                   samples[0].n_parent if samples else 0)
 
     @classmethod
     def packed(cls, ids, ptr, states, n_parent, scheme, k, d):
@@ -130,14 +134,6 @@ class SampleCorpus:
     def samples(self):
         """The samples, as a list of views."""
         return list(self)
-
-    @samples.setter
-    def samples(self, samples):
-        ids = [np.asarray(s.id_map, dtype=np.int64) for s in samples]
-        self._pack(np.concatenate([np.empty(0, np.int64)] + ids),
-                   _offsets([len(a) for a in ids]),
-                   np.concatenate([np.empty(0, np.int8)] + [s.edge_states() for s in samples]),
-                   samples[0].n_parent if samples else 0)
 
     def __len__(self):
         return len(self.ptr) - 1

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphstitch import assembly
 from graphstitch.assembly import (assemble, generate_subgraph,
-                                  progressive_assemble, union_snapshots, _union_loop)
+                                  progressive_assemble, snapshot_graphs, _union_loop)
 from graphstitch.denoiser import DenoiserParams, TrainConfig, train
 from graphstitch.diffusion import build_schedule
 from graphstitch.errors import InvalidParameter, StalledAssembly
@@ -67,18 +69,18 @@ class TestUnionLoop:
         subs = [sample_of(10, [0, 1, 2], [(0, 1), (1, 2), (0, 2)]),
                 sample_of(10, [3, 4, 5], [(3, 4), (4, 5), (3, 5)]),
                 sample_of(10, [6, 7, 8], [(6, 7), (7, 8), (6, 8)])]
-        snaps, acc = _union_loop(fixed_feeder(subs), 10, [4])
+        acc = _union_loop(fixed_feeder(subs), 10, 4)
         assert acc.subgraphs_used == 2
         assert acc.num_edges == 6
         assert acc.overshoot == 2
-        assert len(snaps) == 1 and len(snaps[0]) == 6
+        assert len(acc.entry_codes) == 6
 
     def test_duplicate_edges_do_not_recount(self):
         subs = [sample_of(5, [0, 1], [(0, 1)]),
                 sample_of(5, [0, 1], [(0, 1)]),
                 sample_of(5, [1, 2], [(1, 2)]),
                 sample_of(5, [2, 3], [(2, 3)])]
-        snaps, acc = _union_loop(fixed_feeder(subs), 5, [3])
+        acc = _union_loop(fixed_feeder(subs), 5, 3)
         assert acc.num_edges == 3
         assert acc.subgraphs_used == 4
         assert acc.overshoot == 0
@@ -87,46 +89,74 @@ class TestUnionLoop:
         monkeypatch.setattr(assembly, "STALL_LIMIT", 7)
         subs = [sample_of(4, [0, 1], [(0, 1)])]
         with pytest.raises(StalledAssembly) as exc:
-            _union_loop(fixed_feeder(subs), 4, [5])
+            _union_loop(fixed_feeder(subs), 4, 5)
         assert exc.value.edges == 1
         assert exc.value.subgraphs_used == 8  # 1 productive + 7 stalled
 
     def test_multiple_thresholds_one_insert(self):
         subs = [sample_of(8, range(6),
                           [(i, j) for i in range(6) for j in range(i + 1, 6)])]
-        snaps, acc = _union_loop(fixed_feeder(subs), 8, [2, 5, 15])
+        acc = _union_loop(fixed_feeder(subs), 8, 15)
         assert acc.subgraphs_used == 1
-        assert [len(s) for s in snaps] == [15, 15, 15]
+        graphs = snapshot_graphs(acc.entry_codes, acc.union_sizes, [2, 5, 15], 8)
+        assert [g.num_edges for g in graphs] == [15, 15, 15]
+        assert graphs[0] is graphs[1] is graphs[2]  # one prefix, one Graph
 
     def test_snapshots_are_sorted_pair_codes(self):
         subs = [sample_of(9, [2, 5, 7], [(5, 7), (2, 5)]),
                 sample_of(9, [0, 5], [(0, 5)]),
                 sample_of(9, [1, 2, 5], [(1, 5), (2, 5)])]
-        snaps, acc = _union_loop(fixed_feeder(subs), 9, [2, 4])
+        acc = _union_loop(fixed_feeder(subs), 9, 4)
         assert acc.subgraphs_used == 3 and acc.overshoot == 0
-        assert snaps[0].tolist() == [2 * 9 + 5, 5 * 9 + 7]
-        assert snaps[1].tolist() == [0 * 9 + 5, 1 * 9 + 5, 2 * 9 + 5, 5 * 9 + 7]
-        assert snaps[1].dtype == np.int64
-
+        graphs = snapshot_graphs(acc.entry_codes, acc.union_sizes, [2, 4], 9)
+        assert [g.n for g in graphs] == [9, 9]
+        assert graphs[0].edge_codes.tolist() == [2 * 9 + 5, 5 * 9 + 7]
+        assert graphs[1].edge_codes.tolist() == [0 * 9 + 5, 1 * 9 + 5, 2 * 9 + 5,
+                                                 5 * 9 + 7]
+        assert graphs[1].edge_codes.dtype == np.int64
 
     def test_entry_order_and_union_sizes(self):
         subs = [sample_of(9, [2, 5, 7], [(5, 7), (2, 5)]),
                 sample_of(9, [0, 5], [(0, 5)]),
                 sample_of(9, [2, 5, 7], [(2, 5)]),
                 sample_of(9, [1, 2, 5], [(2, 5), (1, 5)])]
-        _, acc = _union_loop(fixed_feeder(subs), 9, [4])
+        acc = _union_loop(fixed_feeder(subs), 9, 4)
         assert acc.union_sizes == [2, 3, 3, 4]
         # grouped by the subgraph that first added them, ascending within
         assert acc.entry_codes.tolist() == [2 * 9 + 5, 5 * 9 + 7, 0 * 9 + 5, 1 * 9 + 5]
         assert acc.entry_codes.dtype == np.int64
 
 
-def test_union_snapshots_take_the_prefix_of_the_crossing_subgraph():
-    codes = np.array([7, 3, 9, 1, 4], dtype=np.int64)
+def test_snapshot_graphs_take_the_prefix_of_the_crossing_subgraph():
+    codes = np.array([7, 3, 9, 1, 4], dtype=np.int64)  # pairs (0, v) on 10 nodes
     sizes = [2, 2, 3, 5]
-    snaps = union_snapshots(codes, sizes, [1, 2, 3, 3, 4, 5])
-    assert [s.tolist() for s in snaps] == [[3, 7], [3, 7], [3, 7, 9], [3, 7, 9],
-                                           [1, 3, 4, 7, 9], [1, 3, 4, 7, 9]]
+    graphs = snapshot_graphs(codes, sizes, [1, 2, 3, 3, 4, 5], 10)
+    assert [g.edge_codes.tolist() for g in graphs] == [
+        [3, 7], [3, 7], [3, 7, 9], [3, 7, 9], [1, 3, 4, 7, 9], [1, 3, 4, 7, 9]]
+
+
+N_FED = 7
+fed_subgraph = st.lists(st.tuples(st.integers(0, N_FED - 1), st.integers(0, N_FED - 1))
+                        .filter(lambda e: e[0] != e[1]), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(feed=st.lists(fed_subgraph, min_size=1, max_size=6), data=st.data())
+def test_snapshot_graphs_match_the_brute_force_union(feed, data):
+    edge_sets = [{(min(e), max(e)) for e in edges} for edges in feed]
+    unions = []
+    for edges in edge_sets:
+        unions.append((unions[-1] if unions else set()) | edges)
+    assume(unions[-1])  # a feed that adds no edge stalls: test_stall_raises
+    thresholds = sorted(data.draw(st.lists(st.integers(1, len(unions[-1])),
+                                           min_size=1, max_size=6)))
+    subs = [sample_of(N_FED, {v for e in edges for v in e}, edges) for edges in edge_sets]
+    acc = _union_loop(fixed_feeder(subs), N_FED, thresholds[-1])
+    graphs = snapshot_graphs(acc.entry_codes, acc.union_sizes, thresholds, N_FED)
+    for t, g in zip(thresholds, graphs):
+        want = next(u for u in unions if len(u) >= t)
+        assert g.n == N_FED
+        assert set(map(tuple, g.edge_array.tolist())) == want
 
 
 class TestAssemble:

@@ -10,7 +10,7 @@ from graphstitch.diffusion import (NoiseSchedule, build_schedule,
                                    _posterior_batch)
 from graphstitch.errors import DegeneratePosterior, InvalidParameter
 from graphstitch.graphs import Graph
-from graphstitch.sampling import SubgraphSample, build_corpus
+from graphstitch.sampling import SampleCorpus, SubgraphSample, build_corpus
 from graphstitch.sbm import sbm_graph
 
 
@@ -55,11 +55,9 @@ class TestSchedule:
         assert ((0 < sched.alpha) & (sched.alpha < 1)).all()
 
     def test_marginals_from_corpus(self):
-        g = Graph(3, [(0, 1)])
         s1 = SubgraphSample(Graph(2, [(0, 1)]), np.array([0, 1]), 3)
         s2 = SubgraphSample(Graph(2, []), np.array([1, 2]), 3)
-        corpus = build_corpus(g, "RW", k=1, d=1, seed=0)
-        corpus.samples = [s1, s2]
+        corpus = SampleCorpus([s1, s2], "RW", 1, 1)
         m_x, m_e = corpus_marginals(corpus)
         assert np.allclose(m_x, [0.25, 0.5, 0.25])
         assert np.allclose(m_e, [0.5, 0.5])

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import csv
 import dataclasses
 import json
 import os
@@ -145,15 +146,15 @@ class TestConfig:
 
 
 def spy_on_passes(monkeypatch):
-    """The thresholds of each assembly pass run from here on, in a list."""
+    """The edge target of each assembly pass run from here on, in a list."""
     seen = []
-    real_assemble = assembly._assemble
+    real_pass = assembly._pass
 
-    def spy(params, sched, thresholds, k, seed):
-        seen.append(list(thresholds))
-        return real_assemble(params, sched, thresholds, k, seed)
+    def spy(params, sched, target, k, seed):
+        seen.append(target)
+        return real_pass(params, sched, target, k, seed)
 
-    monkeypatch.setattr(assembly, "_assemble", spy)
+    monkeypatch.setattr(assembly, "_pass", spy)
     return seen
 
 
@@ -216,6 +217,18 @@ class TestCommands:
         assert results["seed"] == 5
         assert 0.0 <= results["auc"] <= 1.0
 
+    @pytest.mark.parametrize("name", ["a,b.edgelist", 'a"b.edgelist'])
+    def test_linkpred_csv_keeps_the_dataset_name_one_field(self, workdir, tmp_path, name):
+        cfg = copy_out(workdir["cfg"], tmp_path / "out")
+        shutil.copyfile(cfg.dataset, tmp_path / name)
+        paths = pipeline.cmd_linkpred(dataclasses.replace(cfg, dataset=str(tmp_path / name)))
+        results = json.loads(open(paths["results"]).read())
+        with open(paths["csv"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["method", "dataset", "auc", "ap", "seed"],
+                        ["embedding-dot", name, repr(results["auc"]),
+                         repr(results["ap"]), "5"]]
+
     def test_progressive(self, workdir):
         paths = pipeline.cmd_progressive(workdir["cfg"])
         lines = open(paths["progressive"]).read().splitlines()
@@ -235,7 +248,7 @@ class TestCommands:
         rows = [l.split(",") for l in open(paths["progressive"]).read().splitlines()[1:]]
         total = load_edge_list_file(cfg.dataset)[0].num_edges
         want = [assembly.edge_target(f, total) for f in cfg.fractions]
-        assert [int(r[1]) for r in rows] == want and seen == [want]
+        assert [int(r[1]) for r in rows] == want and seen == [want[-1]]
         assert all(int(r[3]) >= int(r[1]) for r in rows)  # num_edges reached the target
 
     def test_progressive_reuses_the_pass_of_generate(self, workdir, monkeypatch):
@@ -543,6 +556,9 @@ class TestCLI:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["fixture-sbm", "--sizes", text])
             assert exc.value.code == 2 and "--sizes" in capsys.readouterr().err
+
+    def test_fixture_sbm_sizes_default_to_four_blocks_of_400(self):
+        assert cli.build_parser().parse_args(["fixture-sbm"]).sizes == [400] * 4
 
     def test_flag_overrides_file_under_either_spelling(self, tmp_path):
         p = tmp_path / "c.json"
