@@ -199,8 +199,12 @@ def load_edge_list(lines, relabel=False):
 
 
 def load_edge_list_file(path, relabel=False):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh, relabel=relabel)
+    """load_edge_list of a file; ParseError naming the file otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh, relabel=relabel)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"edge list {path}: {exc}") from None
 
 
 def save_edge_list(g, path, order=None):
@@ -225,11 +229,13 @@ def read_saved_edges(path):
     """(n, pair codes in file order) of an edge list as save_edge_list
     writes it: an n= header, then one 'u v' line per edge with u < v, each
     pair once. ParseError naming the file otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head, _, body = fh.read().partition("\n")
-
     def bad(what):
         return ParseError(f"edge list {path}: {what}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head, _, body = fh.read().partition("\n")
+    except UnicodeDecodeError as exc:
+        raise bad(exc) from None
     if not head.startswith("n="):
         raise bad(f"first line {head!r} is not an n= header")
     try:

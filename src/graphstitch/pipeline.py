@@ -120,7 +120,7 @@ def read_json_object(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} {path}: expected a JSON object")

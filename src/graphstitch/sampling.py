@@ -13,7 +13,6 @@ no sample becomes a Graph unless its `local` is asked for.
 """
 
 import itertools
-import json
 import math
 import re
 from functools import lru_cache
@@ -53,14 +52,13 @@ def _offsets(counts):
 
 def _pair_states(sizes, owner, i, j):
     """Packed 0/1 pair states of samples of sizes `sizes`, each sample's
-    pairs in local_pairs order, with local pair (i[e], j[e]) of sample
-    owner[e] present: i != j in either order, repeats allowed."""
+    pairs in local_pairs order, with local pair (i[e], j[e]), i < j, of
+    sample owner[e] present."""
     pair_ptr = _offsets(sizes * (sizes - 1) // 2)
     states = np.zeros(pair_ptr[-1], dtype=np.int8)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
     k = sizes[owner]
-    # row lo of the upper triangle starts at lo*(2k - lo - 1)/2
-    states[pair_ptr[owner] + lo * (2 * k - lo - 1) // 2 + hi - lo - 1] = 1
+    # row i of the upper triangle starts at i*(2k - i - 1)/2
+    states[pair_ptr[owner] + i * (2 * k - i - 1) // 2 + j - i - 1] = 1
     return states
 
 
@@ -336,103 +334,81 @@ def write_corpus_jsonl(corpus, path):
                              for s in range(hi - lo)))
 
 
-def _line_sample(line, n_parent):
-    """(ids, sizes, states) of the one sample a corpus.jsonl line holds;
-    InvalidParameter saying what is wrong with the line otherwise."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"not JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise InvalidParameter("not a JSON object")
-    missing = [key for key in ("edges", "ids") if key not in obj]
-    if missing:
-        raise InvalidParameter(f"missing {missing}")
-    ids, edges = obj["ids"], obj["edges"]
-    if not (isinstance(ids, list) and ids and all(type(v) is int for v in ids)
-            and ids == sorted(set(ids)) and ids[0] >= 0 and ids[-1] < n_parent):
-        raise InvalidParameter(f"ids must be strictly increasing ints in [0, {n_parent})")
-    try:
-        edges = np.asarray(edges) if isinstance(edges, list) else None
-    except ValueError:  # a ragged list
-        edges = None
-    if edges is None or edges.size and (edges.dtype.kind != "i" or edges.shape[1:] != (2,)):
-        raise InvalidParameter("edges must be a list of [i, j] int pairs")
-    edges = edges.astype(np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= len(ids)):
-        raise InvalidParameter("edges: edge endpoint out of range")
-    if (edges[:, 0] == edges[:, 1]).any():
-        raise InvalidParameter("edges: self-loops are not allowed")
-    sizes = np.array([len(ids)])
-    return (np.array(ids, dtype=np.int64), sizes,
-            _pair_states(sizes, np.zeros(len(edges), dtype=np.int64), edges[:, 0], edges[:, 1]))
+# a line as write_corpus_jsonl writes it, though perhaps with leading zeros;
+# numbers of more than 18 digits, which int64 may not hold, do not match
+_LINE = re.compile(rb'\{"edges":\[((?:\[N,N\](?:,\[N,N\])*)?)\],"ids":\[(N(?:,N)*)\]\}\n'
+                   .replace(b"N", rb"[0-9]{1,18}"))
 
 
-# a line as write_corpus_jsonl writes it, though perhaps with leading zeros:
-# blocks of such lines are checked at once, and any other line on its own
-_WRITTEN_LINE = re.compile(r'\{"edges":\[((?:\[[0-9]+,[0-9]+\](?:,\[[0-9]+,[0-9]+\])*)?)\],'
-                           r'"ids":\[([0-9]+(?:,[0-9]+)*)\]\}[ \t\n\r]*')
-_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+def _digit(chars):
+    """Whether each ASCII code is a digit's."""
+    return (chars >= ord("0")) & (chars <= ord("9"))
 
 
-def _ints(texts):
-    """The decimal integers in ASCII texts, each a run of digits, as int64;
-    None if one has a leading zero (not JSON) or more than 18 digits."""
-    text = np.frombuffer(",".join(texts).encode(), dtype=np.uint8)
-    digit = (text >= ord("0")) & (text <= ord("9"))
-    flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, ends = flips[0::2], flips[1::2]
-    lengths = ends - starts
-    if lengths.size and (lengths.max() > 18 or ((text[starts] == ord("0")) & (lengths > 1)).any()):
-        return None
-    # each digit times ten to the power of its distance to the end of its run
-    place = np.repeat(ends, lengths) - np.flatnonzero(digit) - 1
-    values = (text[digit] - ord("0")).astype(np.int64) * _POWERS_OF_TEN[place]
-    return np.add.reduceat(values, _offsets(lengths)[:-1]) if lengths.size else values
+def _not_rising(values, line):
+    """Whether each value is not above the one before it on the same line."""
+    bad = np.zeros(values.size, dtype=bool)
+    bad[1:] = (values[1:] <= values[:-1]) & (line[1:] == line[:-1])
+    return bad
 
 
-def _written_samples(matches, n_parent):
-    """(ids, sizes, states) of lines matched by _WRITTEN_LINE, or None unless
-    every one of them holds a sample _line_sample accepts."""
-    ids = _ints(m[2] for m in matches)
-    pairs = _ints(m[1] for m in matches)
-    if ids is None or pairs is None:
-        return None
-    pairs = pairs.reshape(-1, 2)
-    sizes = np.array([m[2].count(",") + 1 for m in matches])
-    owner = np.repeat(np.arange(len(matches)), [m[1].count("[") for m in matches])
-    rising = np.diff(ids) > 0
-    rising[_offsets(sizes)[1:-1] - 1] = True  # from one line to the next
-    i, j = pairs[:, 0], pairs[:, 1]
+def _block_samples(lines, n_parent, path, start):
+    """(ids, sizes, states) of a block of the lines of corpus `path`, the
+    first of them line `start`; InvalidParameter naming the first bad line
+    and what is wrong with it otherwise."""
+    matches = [_LINE.fullmatch(line) for line in lines]
+    cut = next((at for at, m in enumerate(matches) if m is None), len(lines))
+    matches = matches[:cut]
+    sizes = np.array([m[2].count(b",") + 1 for m in matches], dtype=np.int64)
+    ids = np.fromstring(b",".join(m[2] for m in matches), dtype=np.int64, sep=",")
+    pairs = np.fromstring(b",".join(m[1] for m in matches if m[1]).translate(None, b"[]"),
+                          dtype=np.int64, sep=",")
+    i, j = pairs[0::2], pairs[1::2]
+    owner = np.repeat(np.arange(cut), [m[1].count(b"[") for m in matches])
+    id_line = np.repeat(np.arange(cut), sizes)
     k = sizes[owner]
-    if not (rising.all() and ids.max() < n_parent and (i < k).all() and (j < k).all()
-            and (i != j).all()):
-        return None
+    # leading zeros: a 0 after a non-digit and before a digit (a matched line
+    # starts with { and ends with a newline, so both neighbours exist)
+    block = b"".join(lines[:cut])
+    text = np.frombuffer(block, dtype=np.uint8)
+    zero = np.flatnonzero(text == ord("0"))
+    zero = zero[_digit(text[zero + 1]) & ~_digit(text[zero - 1])]
+    # the first line failing each check, in the order a line's faults are
+    # named; len(lines) when no line does
+    end = len(lines)
+    firsts = [
+        (block.count(b"\n", 0, zero[0]) if zero.size else end, "not JSON: a leading zero"),
+        (id_line[(ids >= n_parent) | _not_rising(ids, id_line)].min(initial=end),
+         f"ids must be strictly increasing ints in [0, {n_parent})"),
+        (owner[(i >= k) | (j >= k)].min(initial=end), "edges: edge endpoint out of range"),
+        (owner[i == j].min(initial=end), "edges: self-loops are not allowed"),
+        (owner[(i > j) | _not_rising(i * k + j, owner)].min(initial=end),
+         "edges must be [i,j] pairs with i < j, in ascending order"),
+        (cut, 'not JSON in the form write_corpus_jsonl writes, {"edges":[[i,j],...],'
+              '"ids":[id,...]} and a newline: no spaces, keys in that order, integers '
+              "of at most 18 digits"),
+    ]
+    at, why = min(firsts, key=lambda first: first[0])
+    if at < end:
+        raise InvalidParameter(f"corpus {path} line {start + at}: {why}")
     return ids, sizes, _pair_states(sizes, owner, i, j)
 
 
 def read_corpus_jsonl(path, n_parent, scheme, k, d=None):
-    """Read a corpus written by write_corpus_jsonl; InvalidParameter naming
-    the file and the line unless every line holds a sample of a graph on
-    n_parent nodes and there is at least one."""
-    parts = []  # (ids, sizes, states) of the lines read so far, in order
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a corpus as write_corpus_jsonl writes it; InvalidParameter naming
+    the file and the first line that is not such a line of a sample of a
+    graph on n_parent nodes, or saying the file holds no samples.
+
+    Every line must match _LINE in full, its final newline included; the
+    numbers of a block of LINE_CHUNK lines are then parsed and checked at
+    once."""
+    parts = []  # (ids, sizes, states) of each block read so far, in order
+    with open(path, "rb") as fh:
         for start in itertools.count(1, LINE_CHUNK):
             lines = list(itertools.islice(fh, LINE_CHUNK))
             if not lines:
                 break
-            matches = [_WRITTEN_LINE.fullmatch(line) for line in lines]
-            part = _written_samples(matches, n_parent) if all(matches) else None
-            if part is not None:
-                parts.append(part)
-                continue
-            # a line in another form, blank or bad: parse each on its own
-            for num, line in enumerate(lines, start):
-                try:
-                    if line.strip():
-                        parts.append(_line_sample(line, n_parent))
-                except InvalidParameter as exc:
-                    raise InvalidParameter(f"corpus {path} line {num}: {exc}") from None
+            parts.append(_block_samples(lines, n_parent, path, start))
     if not parts:
         raise InvalidParameter(f"corpus {path}: no samples")
     ids, sizes, states = (np.concatenate(arrays) for arrays in zip(*parts))

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = ("01_sampling_schemes.py", "02_diffusion_basics.py", "05_cli_walkthrough.py")
+DEMOS = ("01_sampling_schemes.py", "02_diffusion_basics.py", "03_overfit_triangle.py",
+         "05_cli_walkthrough.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
 import re
 import shutil
 
@@ -493,10 +494,11 @@ class TestCLI:
         assert cli.main(["train", "--out", str(tmp_path)]) == 2
         assert str(stats) in capsys.readouterr().err
 
-    GOOD_LINE = '{"edges": [[0, 1]], "ids": [3, 7]}\n'
+    GOOD_LINE = '{"edges":[[0,1]],"ids":[3,7]}\n'
 
     @pytest.mark.parametrize("text, line", [
         (GOOD_LINE + '{"edges": [[0, 1]], "ids": [3', 2),  # truncated
+        (GOOD_LINE * 2 + GOOD_LINE[:-1], 3),  # the last line cut before its newline
         ("", None),  # no samples
         ("\n\n", None),
         ("[[0, 1]]\n", 1),
@@ -748,7 +750,7 @@ class TestProgressiveReuse:
         assert got == progressive_csv(fresh)
 
     @pytest.mark.parametrize("edit", ["truncated", "extended", "header", "garbled",
-                                      "union_sizes"])
+                                      "not_utf8", "union_sizes"])
     def test_mismatched_pass_exits_2_naming_the_file(self, trained, tmp_path, capsys,
                                                      edit):
         out = tmp_path / "out"
@@ -768,6 +770,8 @@ class TestProgressiveReuse:
             synth.write_text(f"n={n + 1}\n" + "".join(lines[1:]))
         elif edit == "garbled":
             synth.write_text("".join(lines[:-1]) + "1 x\n")
+        elif edit == "not_utf8":
+            synth.write_bytes(synth.read_bytes() + b"\xff\n")
         elif edit == "union_sizes":
             report = json.loads((out / "assembly_report.json").read_text())
             report["union_sizes"] = [3, 2]
@@ -787,3 +791,22 @@ class TestProgressiveReuse:
         rc = cli.main(["progressive", "--config", trained["cfg_path"], "--out", str(out),
                        "--fractions", "0.9,0.4"])
         assert rc == 2 and "fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("sample", "cfg.json"), ("sample", "toy.edgelist"), ("train", "corpus_stats.json"),
+    ("eval", "synthetic.edgelist"), ("progressive", "assembly_report.json")])
+def test_input_not_utf8_exits_2_naming_it(trained, tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    copy_out(trained["cfg"], out)
+    (out / "synthetic.edgelist").write_text("n=24\n0 1\n1 2\n")
+    (out / "assembly_report.json").write_text(json.dumps({"union_sizes": [2]}))
+    obj = json.loads(pathlib.Path(trained["cfg_path"]).read_text())
+    shutil.copy(obj["dataset"], tmp_path / "toy.edgelist")
+    obj.update(dataset=str(tmp_path / "toy.edgelist"), out=str(out))
+    (tmp_path / "cfg.json").write_text(json.dumps(obj))
+    bad = out / name if (out / name).exists() else tmp_path / name
+    text = bad.read_bytes()
+    bad.write_bytes(text[:8] + b"\xff" + text[8:])
+    assert cli.main([command, "--config", str(tmp_path / "cfg.json")]) == 2
+    assert str(bad) in capsys.readouterr().err

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import graph_oracle as oracle
 from graphstitch import sampling
@@ -223,6 +225,11 @@ class TestBuildCorpus:
             build_corpus(path_graph(8), scheme, k=3, d=1, count=2)
 
 
+# the start of the reason a line out of the written form is rejected with
+FORM = "not JSON in the form write_corpus_jsonl writes"
+ORDER = "edges must be [i,j] pairs with i < j, in ascending order"
+
+
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path):
         g = path_graph(12)
@@ -278,20 +285,27 @@ class TestSerialization:
         for name in ("ids", "ptr", "states"):
             assert np.array_equal(getattr(back, name), getattr(corpus, name))
 
-    def test_read_lines_in_any_json_form(self, tmp_path, monkeypatch):
-        # written lines, checked in blocks of two, around lines with spaces,
-        # reversed and repeated pairs, and a blank line
+    @pytest.mark.parametrize("line, why", [
+        (b'{"edges": [[0, 2]], "ids": [0, 1, 5]}\n', FORM),  # spaces
+        (b'{"ids":[0,1,5],"edges":[[0,2]]}\n', FORM),  # other key order
+        (b'\n', FORM),  # blank
+        (b'{"edges":[[0,2]],"ids":[0,1,5]}\r\n', FORM),  # CRLF
+        (b'{"edges":[[0,2]],"ids":[0,1,5\xff]}\n', FORM),  # not UTF-8
+        (b'{"edges":[[0,2]],"ids":[0,1,5.0]}\n', FORM),
+        (b'{"edges":[[0,2]],"ids":[0,1,-5]}\n', FORM),
+        (b'{"edges":[[2,0]],"ids":[0,1,5]}\n', ORDER),  # reversed
+        (b'{"edges":[[0,2],[0,2]],"ids":[0,1,5]}\n', ORDER),  # repeated
+        (b'{"edges":[[1,2],[0,2]],"ids":[0,1,5]}\n', ORDER),  # descending
+    ])
+    def test_lines_in_another_form_rejected(self, tmp_path, monkeypatch, line, why):
+        # written lines, read in blocks of two, around the line at each place
         monkeypatch.setattr(sampling, "LINE_CHUNK", 2)
+        good = b'{"edges":[[0,1]],"ids":[3,7]}\n'
         path = tmp_path / "c.jsonl"
-        path.write_text('{"edges":[[0,1]],"ids":[3,7]}\n'
-                        '{"edges": [[2, 0], [0, 2], [1, 2]], "ids": [0, 1, 5]}\n'
-                        '\n'
-                        '{"edges":[],"ids":[4]}\n'
-                        '{"edges":[[0,2]],"ids":[1,2,3]}\n'
-                        '{"ids": [8, 9], "edges": []}\n')
-        corpus = read_corpus_jsonl(path, 10, "RW", 3, 1)
-        assert [s.id_map.tolist() for s in corpus] == [[3, 7], [0, 1, 5], [4], [1, 2, 3], [8, 9]]
-        assert [s.edge_states().tolist() for s in corpus] == [[1], [0, 1, 1], [], [0, 1, 0], [0]]
+        for at in range(1, 6):
+            path.write_bytes(good * (at - 1) + line + good * (5 - at))
+            with pytest.raises(InvalidParameter, match=re.escape(f"{path} line {at}: {why}")):
+                read_corpus_jsonl(path, 10, "RW", 3, 1)
 
     @pytest.mark.parametrize("bad, why", [
         ('{"edges":[[0,1]],"ids":[03,7]}', "not JSON"),
@@ -299,7 +313,7 @@ class TestSerialization:
         ('{"edges":[[1,1]],"ids":[3,7]}', "edges: self-loops are not allowed"),
         ('{"edges":[],"ids":[7,3]}', "ids must be strictly increasing"),
         ('{"edges":[],"ids":[3,10]}', "ids must be strictly increasing"),
-        ('{"edges":[],"ids":[3,99999999999999999999]}', "ids must be strictly increasing"),
+        ('{"edges":[],"ids":[3,99999999999999999999]}', FORM),
     ])
     def test_bad_written_line_named_in_any_block(self, tmp_path, monkeypatch, bad, why):
         monkeypatch.setattr(sampling, "LINE_CHUNK", 3)
@@ -309,6 +323,43 @@ class TestSerialization:
             path.write_text(good * (at - 1) + bad + "\n" + good * (6 - at))
             with pytest.raises(InvalidParameter, match=re.escape(f"line {at}: {why}")):
                 read_corpus_jsonl(path, 10, "RW", 3, 1)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 3), chunk=st.integers(1, 4),
+       edit=st.sampled_from(["replace", "insert", "delete"]), data=st.data())
+def test_one_byte_edit_is_rejected_or_read_as_written(tmp_path, scheme, seed, chunk, edit,
+                                                      data):
+    """The reader accepts exactly what the writer can write: after one byte
+    of a written corpus is replaced, inserted or deleted, it either names the
+    file and a line of it, or reads a corpus whose rewrite is the edited file."""
+    g = sbm_graph([5, 5], 0.5, 0.1, seed=seed)
+    corpus = build_corpus(g, scheme, k=4, d=1, count=6, seed=seed)
+    path, again = tmp_path / "c.jsonl", tmp_path / "again.jsonl"
+    write_corpus_jsonl(corpus, path)
+    text = path.read_bytes()
+    # half of the edits put a digit at a digit, where most of them keep the form
+    digits = [at for at, byte in enumerate(text) if chr(byte).isdigit()]
+    at = data.draw(st.one_of(st.sampled_from(digits),
+                             st.integers(0, len(text) - (edit != "insert"))), label="at")
+    byte = bytes([data.draw(st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)),
+                            label="byte")])
+    edited = {"replace": text[:at] + byte + text[at + 1:],
+              "insert": text[:at] + byte + text[at:],
+              "delete": text[:at] + text[at + 1:]}[edit]
+    path.write_bytes(edited)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "LINE_CHUNK", chunk)
+        try:
+            back = read_corpus_jsonl(path, g.n, scheme, 4, corpus.d)
+        except InvalidParameter as exc:
+            named = re.fullmatch(rf"corpus {re.escape(str(path))} line ([0-9]+): .+", str(exc))
+            assert named, str(exc)
+            assert 1 <= int(named[1]) <= edited.count(b"\n") + (not edited.endswith(b"\n"))
+            return
+    write_corpus_jsonl(back, again)
+    assert again.read_bytes() == edited
 
 
 def test_view_edge_states_read_only_and_fixed():
