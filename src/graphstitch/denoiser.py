@@ -144,7 +144,8 @@ class DenoiserParams:
             blob = fh.read()
         try:
             obj = json.loads(blob)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        # not JSON, not UTF-8, or nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as exc:
             raise bad(f"not JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise bad("not a JSON object")

@@ -4,7 +4,10 @@ Node states are the parent graph's node IDs (n categories); pair states
 are binary absent/present. Transition matrices have the marginal-
 convergent form Q_t = alpha_t*I + (1-alpha_t)*1 m^T whose products keep
 the same rank-1-plus-identity shape, so nothing here materializes an
-n x n matrix: every operation applies the structure in O(n).
+n x n matrix: every operation applies the structure in O(n). The reverse
+step goes further: each element's posterior is a mixture of three
+components whose masses cost O(1), so a full row is built only for the
+elements whose draw leaves their current state.
 """
 
 import hashlib
@@ -26,7 +29,9 @@ class NoiseSchedule:
     alpha has length T (alpha[t-1] is the step t survival probability);
     alpha_bar has length T+1 with alpha_bar[0] = 1. Schedules produced by
     build_schedule additionally satisfy alpha_bar[T] <= 1e-4; hand-built
-    test schedules may be shorter and skip that.
+    test schedules may be shorter and skip that. cdf is m_x's cumulative
+    table, built once here as Generator.choice(p=m_x) builds it per call;
+    it is not saved.
     """
 
     T: int
@@ -55,6 +60,13 @@ class NoiseSchedule:
         for m in (self.m_x, self.m_e):
             if (m < 0).any() or not np.isclose(m.sum(), 1.0, atol=1e-9):
                 raise InvalidParameter("marginals must be distributions")
+        self.cdf = self.m_x.cumsum()
+        self.cdf /= self.cdf[-1]
+
+    def draw_nodes(self, rng, k):
+        """k IID node IDs from m_x: the draws and the generator state after
+        them equal those of rng.choice(len(m_x), size=k, p=m_x)."""
+        return self.cdf.searchsorted(rng.random(k), side="right")
 
     def marginal(self, which):
         if which == "node":
@@ -86,7 +98,7 @@ class NoiseSchedule:
                 alpha = ab[1:] / ab[:-1]
             return cls(T, alpha, ab, obj["m_X"], obj["m_E"],
                        digest=hashlib.sha256(blob).hexdigest())
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise InvalidParameter(
                 f"schedule {path}: {type(exc).__name__}: {exc}") from None
 
@@ -178,8 +190,7 @@ def forward_noise(sample, t, sched, seed, freeze_nodes=False):
     k = sample.num_nodes
 
     keep = rng.random(k) < ab
-    resampled = rng.choice(len(sched.m_x), size=k, p=sched.m_x)
-    x_t = np.where(keep, sample.id_map, resampled).astype(np.int64)
+    x_t = np.where(keep, sample.id_map, sched.draw_nodes(rng, k)).astype(np.int64)
     if freeze_nodes:
         x_t = sample.id_map.copy()
 
@@ -203,7 +214,9 @@ def _posterior_batch(states, p_hat, t, sched, which):
         w_x = 1[Z_x > 0] * p_hat(x) / Z_x,
         Z_x = ab_t*1[x = x_t] + (1-ab_t)*m[x_t],
 
-    which is O(S) per element instead of the O(S^2) literal sum.
+    which is O(S) per element instead of the O(S^2) literal sum. This is
+    the oracle for reverse_step's sampler, which never builds these rows
+    for elements that stay put.
     """
     if not 1 <= t <= sched.T:
         raise InvalidParameter(f"t must be in 1..T, got {t}")
@@ -239,32 +252,100 @@ def posterior_step(x_t, p_hat, t, sched, which):
     return out[0]
 
 
-def _sample_rows(dists, rng):
-    cum = np.cumsum(dists, axis=1)
-    u = rng.random(len(dists))
-    idx = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(idx, dists.shape[1] - 1)
+def _mixture(states, p_obs, p_off, t, sched, which):
+    """The t-1 posterior of each element as a three-way mixture.
+
+    With x = x_t and the notation of _posterior_batch, the row is
+
+        out_j = k_p*p_hat_j + k_m*m_j  (j != x),    out_x = stay,
+        k_p = (1-a)*m[x]*ab_prev / c,    k_m = (1-a)*m[x]*(1-ab_prev)*sum(w),
+        stay = A_x * (ab_prev*w_x + (1-ab_prev)*m[x]*sum(w)),
+        c = Z_j (j != x) = (1-ab_t)*m[x],    sum(w) = p_off/c + w_x,
+
+    that is p_hat without x, m without x and a point mass at x. p_obs is
+    p_hat[x] and p_off the row's sum off x, so a row costs O(1). Returns
+    (k_p, k_m, stay, total); DegeneratePosterior where a total is zero or
+    not finite, as in _posterior_batch.
+    """
+    if not 1 <= t <= sched.T:
+        raise InvalidParameter(f"t must be in 1..T, got {t}")
+    m = sched.marginal(which)
+    a = sched.alpha[t - 1]
+    ab_t = sched.alpha_bar[t]
+    ab_prev = sched.alpha_bar[t - 1]
+    m_obs = m[states]
+    c = (1.0 - ab_t) * m_obs
+    z_obs = c + ab_t
+    leave = (1.0 - a) * m_obs  # A_j for j != x
+    k_p = np.divide(ab_prev * leave, c, out=np.zeros(len(c)), where=c > 0.0)
+    w_obs = np.divide(p_obs, z_obs, out=np.zeros(len(c)), where=z_obs > 0.0)
+    w_sum = np.divide(p_off, c, out=np.zeros(len(c)), where=c > 0.0) + w_obs
+    k_m = (1.0 - ab_prev) * leave * w_sum
+    stay = (a + leave) * (ab_prev * w_obs + (1.0 - ab_prev) * m_obs * w_sum)
+    total = k_p * p_off + k_m * (1.0 - m_obs) + stay
+    if not np.isfinite(total).all() or not (total > 0.0).all():
+        raise DegeneratePosterior(f"zero-mass posterior at t={t} ({which})")
+    return k_p, k_m, stay, total
+
+
+def _sample_nodes(x_t, p_hat, t, sched, u):
+    """Inverse-CDF draws of the t-1 node states, one uniform per row.
+
+    A row's masses below x_t and at x_t (from the prefix sums of p_hat and
+    m up to x_t) decide in O(1) whether its draw stays at x_t; only the rows
+    that leave are built in full and cumsummed.
+    """
+    k, n = p_hat.shape
+    rows = np.arange(k)
+    bounds = np.column_stack([rows * n, rows * n + x_t]).ravel()
+    p_below, p_from = np.add.reduceat(p_hat.ravel(), bounds).reshape(k, 2).T
+    p_below = np.where(x_t > 0, p_below, 0.0)  # an empty segment sums to its first entry
+    p_obs = p_hat[rows, x_t]
+    k_p, k_m, stay, total = _mixture(x_t, p_obs, p_below + (p_from - p_obs), t, sched,
+                                     "node")
+    below = k_p * p_below + k_m * np.where(x_t > 0, sched.cdf[x_t - 1], 0.0)
+    v = u * total
+    moved = np.flatnonzero((v < below) | (v >= below + stay))
+    x_prev = x_t.copy()
+    if moved.size:
+        dist = k_p[moved, None] * p_hat[moved] + k_m[moved, None] * sched.m_x
+        dist[np.arange(moved.size), x_t[moved]] = stay[moved]
+        cum = dist.cumsum(axis=1)
+        x_prev[moved] = (cum <= (u[moved] * cum[:, -1])[:, None]).sum(axis=1)
+    return x_prev
+
+
+def _sample_pairs(e_t, p_hat, t, sched, u):
+    """Inverse-CDF draws of the t-1 pair states, one uniform per pair."""
+    rows = np.arange(e_t.size)
+    p_off = p_hat[rows, 1 - e_t]
+    k_p, k_m, stay, total = _mixture(e_t, p_hat[rows, e_t], p_off, t, sched, "edge")
+    flip = k_p * p_off + k_m * sched.m_e[1 - e_t]
+    absent = np.where(e_t == 0, stay, flip)
+    return (u * total >= absent).astype(np.int8)
 
 
 def reverse_step(noisy, p_hat_x, p_hat_e, sched, seed):
-    """Sample G_{t-1} ~ p(.|G_t) under the predicted clean distributions."""
+    """Sample G_{t-1} ~ p(.|G_t) under the predicted clean distributions:
+    k uniforms for the nodes, then one per pair."""
     rng = as_generator(seed)
     t = noisy.t
-    x_dists = _posterior_batch(noisy.x_t, p_hat_x, t, sched, "node")
-    x_prev = _sample_rows(x_dists, rng).astype(np.int64)
-    if noisy.e_t.size:
-        e_dists = _posterior_batch(noisy.e_t, p_hat_e, t, sched, "edge")
-        e_prev = _sample_rows(e_dists, rng).astype(np.int8)
+    k = noisy.k
+    p_hat_x = np.asarray(p_hat_x, dtype=np.float64).reshape(k, -1)
+    x_prev = _sample_nodes(noisy.x_t, p_hat_x, t, sched, rng.random(k))
+    e_t = noisy.e_t
+    if e_t.size:
+        p_hat_e = np.asarray(p_hat_e, dtype=np.float64).reshape(e_t.size, 2)
+        e_prev = _sample_pairs(e_t, p_hat_e, t, sched, rng.random(e_t.size))
     else:
-        e_prev = noisy.e_t.copy()
+        e_prev = e_t.copy()
     return NoisySample(noisy.base, t - 1, x_prev, e_prev)
 
 
 def prior_sample(k, sched, seed):
     """G_T draw: IID node IDs from m_x, IID pair states from m_e."""
     rng = as_generator(seed)
-    x = rng.choice(len(sched.m_x), size=k, p=sched.m_x).astype(np.int64)
+    x = sched.draw_nodes(rng, k).astype(np.int64)
     n_pairs = k * (k - 1) // 2
     e = (rng.random(n_pairs) < sched.m_e[1]).astype(np.int8)
     return NoisySample(None, sched.T, x, e)
-

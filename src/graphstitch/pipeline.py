@@ -120,7 +120,8 @@ def read_json_object(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
+    # not JSON, not UTF-8, or nested deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} {path}: expected a JSON object")

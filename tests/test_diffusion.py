@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from graphstitch.diffusion import (NoiseSchedule, build_schedule,
+from graphstitch.diffusion import (NoiseSchedule, NoisySample, build_schedule,
                                    corpus_marginals, cosine_alpha_bar,
                                    forward_noise, posterior_step, prior_sample,
                                    reverse_step, transition_apply,
-                                   _posterior_batch)
+                                   _mixture, _posterior_batch)
 from graphstitch.errors import DegeneratePosterior, InvalidParameter
 from graphstitch.graphs import Graph
 from graphstitch.sampling import SampleCorpus, SubgraphSample, build_corpus
@@ -82,6 +84,29 @@ class TestSchedule:
         assert np.array_equal(back.m_x, sched.m_x)
         back.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_cdf_is_built_once_and_not_saved(self, tmp_path):
+        sched = build_schedule(20, toy_corpus())
+        cdf = sched.m_x.cumsum()
+        assert np.array_equal(sched.cdf, cdf / cdf[-1]) and sched.cdf[-1] == 1.0
+        sched.save(tmp_path / "schedule.json")
+        assert "cdf" not in json.loads((tmp_path / "schedule.json").read_text())
+        assert "cdf" not in [f.name for f in dataclasses.fields(NoiseSchedule)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 120, 983])
+    def test_draw_nodes_is_generator_choice(self, n):
+        # the same draws and the same generator state afterwards
+        rng = np.random.default_rng(n)
+        m = rng.random(n) * (rng.random(n) < 0.7)
+        m[0] += 0.5
+        m /= m.sum()
+        sched = NoiseSchedule(1, [0.5], [1.0, 0.5], m, [0.5, 0.5])
+        for seed in range(40):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            size = seed % 9
+            assert np.array_equal(sched.draw_nodes(a, size), b.choice(n, size=size, p=m))
+            assert a.random() == b.random()
 
     def test_load_digest_is_the_sha256_of_the_file(self, tmp_path):
         sched = build_schedule(20, toy_corpus())
@@ -268,6 +293,105 @@ class TestReverseStep:
         out = reverse_step(noisy, np.full((1, 6), 1 / 6), np.empty((0, 2)),
                            sched, seed=0)
         assert out.t == 4 and out.e_t.size == 0
+
+
+def implied_rows(states, p_hat, t, sched, which):
+    """The rows _mixture's three components add up to, and its totals."""
+    rows = np.arange(len(states))
+    p_obs = p_hat[rows, states]
+    k_p, k_m, stay, total = _mixture(states, p_obs, p_hat.sum(axis=1) - p_obs, t,
+                                     sched, which)
+    out = k_p[:, None] * p_hat + k_m[:, None] * sched.marginal(which)
+    out[rows, states] = stay
+    return out, total
+
+
+def cosine_schedule(T, m_x, m_e=(0.5, 0.5)):
+    ab = cosine_alpha_bar(T)
+    return NoiseSchedule(T, ab[1:] / ab[:-1], ab, np.asarray(m_x), np.asarray(m_e))
+
+
+class TestMixtureSampler:
+    """reverse_step draws each element by the inverse CDF of its
+    _posterior_batch row, from the row's three-way mixture."""
+
+    @pytest.mark.parametrize("which", ["node", "edge"])
+    def test_implied_distribution_is_the_posterior(self, which):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            S = 2 if which == "edge" else int(rng.integers(2, 9))
+            m = rng.random(S) * (rng.random(S) < 0.7)
+            m[rng.integers(S)] += 0.2
+            m /= m.sum()
+            T = int(rng.integers(2, 40))
+            sched = (cosine_schedule(T, m) if which == "node"
+                     else cosine_schedule(T, np.full(3, 1 / 3), m))
+            states = rng.integers(0, S, 12)
+            states[0] = int(np.argmin(m))  # a row whose state has m = 0, when one does
+            p_hat = rng.random((12, S)) * rng.uniform(0.01, 50.0, (12, 1))  # unnormalised
+            for t in (1, T, int(rng.integers(1, T + 1))):
+                out, total = implied_rows(states, p_hat, t, sched, which)
+                assert np.allclose(out.sum(axis=1), total, rtol=1e-12, atol=0)
+                want = _posterior_batch(states, p_hat, t, sched, which)
+                assert np.abs(out / total[:, None] - want).max() < 1e-12
+                point = m[states] == 0
+                assert (want[point, states[point]] == 1.0).all()
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 8])
+    def test_draws_pass_a_chi_square_test_against_the_posterior(self, t):
+        S, N = 6, 20000
+        rng = np.random.default_rng(t)
+        sched = cosine_schedule(8, [0.3, 0.0, 0.1, 0.25, 0.15, 0.2], [0.7, 0.3])
+        p_x = rng.random((S, S)) * rng.uniform(0.5, 3.0, (S, 1))
+        p_x[2, 4] = 0.0
+        p_e = rng.random((2, 2))
+        x_t = np.repeat(np.arange(S), N)
+        e_t = np.repeat(np.arange(2), N).astype(np.int8)
+        out = reverse_step(NoisySample(None, t, x_t, e_t), p_x[x_t], p_e[e_t], sched, seed=t)
+        for before, after, p_hat, which in ((x_t, out.x_t, p_x, "node"),
+                                            (e_t, out.e_t, p_e, "edge")):
+            states = np.arange(len(p_hat))
+            want = _posterior_batch(states, p_hat, t, sched, which)
+            for x in states:
+                counts = np.bincount(after[before == x], minlength=len(states))
+                support = want[x] > 0
+                assert counts[~support].sum() == 0  # a row whose m[x_t] = 0 stays put
+                expected = N * want[x][support]
+                chi2 = ((counts[support] - expected) ** 2 / expected).sum()
+                df = support.sum() - 1
+                assert chi2 <= df + 6 * np.sqrt(2 * df), (which, x, chi2, df)
+
+    def test_draws_are_the_inverse_cdf_of_the_posterior_rows(self):
+        # one uniform per element, k for the nodes and then one per pair,
+        # searched on the cumulative posterior row in index order
+        rng = np.random.default_rng(2)
+        n, k, T = 40, 25, 30
+        m = rng.random(n) * (rng.random(n) < 0.8)
+        m /= m.sum()
+        sched = cosine_schedule(T, m, [0.8, 0.2])
+        for t in range(1, T + 1):
+            noisy = NoisySample(None, t, rng.integers(0, n, k),
+                                (rng.random(k * (k - 1) // 2) < 0.3).astype(np.int8))
+            p_x = rng.random((k, n)) ** 3 * rng.uniform(0.1, 10.0, (k, 1))
+            p_e = rng.random((noisy.e_t.size, 2))
+            got = reverse_step(noisy, p_x, p_e, sched, seed=t)
+            u = np.random.default_rng(t).random(k + noisy.e_t.size)
+            for states, p_hat, which, draws, uniforms in (
+                    (noisy.x_t, p_x, "node", got.x_t, u[:k]),
+                    (noisy.e_t, p_e, "edge", got.e_t, u[k:])):
+                rows = _posterior_batch(states, p_hat, t, sched, which)
+                want = [np.cumsum(row).searchsorted(v, side="right")
+                        for row, v in zip(rows, uniforms)]
+                assert np.array_equal(draws, want)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_mass_raises(self, bad):
+        # x_t = 2 has marginal 0, so only a clean 2 explains it
+        sched = mini_schedule(0.7, 0.9, m_x=[0.5, 0.5, 0.0])
+        noisy = NoisySample(None, 2, np.array([0, 2]), np.zeros(1, np.int8))
+        p_x = np.array([[0.2, 0.8, 0.0], [0.5, 0.5, bad]])
+        with pytest.raises(DegeneratePosterior), np.errstate(invalid="ignore"):
+            reverse_step(noisy, p_x, np.full((1, 2), 0.5), sched, seed=0)
 
 
 def test_prior_sample_matches_marginals():

@@ -7,6 +7,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -810,3 +812,48 @@ def test_input_not_utf8_exits_2_naming_it(trained, tmp_path, capsys, command, na
     bad.write_bytes(text[:8] + b"\xff" + text[8:])
     assert cli.main([command, "--config", str(tmp_path / "cfg.json")]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["cfg.json", "checkpoint.json", "schedule.json"])
+def test_deeply_nested_json_exits_2_naming_it(tmp_path, capsys, name):
+    # deeper than the JSON decoder recurses: RecursionError, not ValueError
+    out = tmp_path / "out"
+    out.mkdir()
+    DenoiserParams.init(5, 3, 1, seed=0).save(out / "checkpoint.json")
+    NoiseSchedule(2, [0.5, 0.0], [1.0, 0.5, 0.0], np.full(5, 0.2),
+                  [0.5, 0.5]).save(out / "schedule.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(out), "assembly": {"target_edges": 3}}))
+    bad = cfg if name == "cfg.json" else out / name
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["generate", "--config", str(cfg)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_generate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n=1000 the reverse chain runs no product over n, so generate writes
+    # the same bytes from one checkpoint under one and two OpenBLAS threads
+    dataset = tmp_path / "sbm.edgelist"
+    save_edge_list(sbm_graph([250] * 4, 0.03, 0.002, seed=2), dataset)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(dataset), "k": 20, "d": 1, "T": 40, "seed": 3,
+        "denoiser": {"steps": 3}, "assembly": {"target_edges": 80},
+        "out": str(tmp_path / "out")}))
+    cfg = pipeline.load_config(cfg_path)
+    pipeline.cmd_sample(cfg)
+    pipeline.cmd_train(cfg)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        shutil.copytree(tmp_path / "out", out)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "graphstitch", "generate",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        written[threads] = [(out / name).read_bytes()
+                            for name in ("synthetic.edgelist", "assembly_report.json")]
+    assert written["1"] == written["2"]
+    assert written["1"][0].count(b"\n") > 80  # the header plus at least 80 edges
