@@ -128,11 +128,13 @@ class Graph:
 
 @dataclass
 class LoadReport:
-    """What load_edge_list cleaned up, for logging and sidecar files."""
+    """What load_edge_list kept and cleaned up, for logging, sidecar files
+    and readers that need the file's order."""
 
     self_loops_dropped: int
     duplicates_collapsed: int
     id_map: np.ndarray | None  # original label per new index when relabel=True
+    pairs: np.ndarray  # the kept (u, v) rows in file order, as Graph got them
 
 
 def load_edge_list(lines, relabel=False):
@@ -195,7 +197,7 @@ def load_edge_list(lines, relabel=False):
         n = max_id + 1 if header_n is None else header_n
 
     g = Graph(n, pairs)
-    return g, LoadReport(self_loops, pairs.shape[0] - g.num_edges, id_map)
+    return g, LoadReport(self_loops, pairs.shape[0] - g.num_edges, id_map, pairs)
 
 
 def load_edge_list_file(path, relabel=False):
@@ -223,35 +225,6 @@ def save_edge_list(g, path, order=None):
         fh.write(f"n={g.n}\n")
         for u, v in rows.tolist():
             fh.write(f"{u} {v}\n")
-
-
-def read_saved_edges(path):
-    """(n, pair codes in file order) of an edge list as save_edge_list
-    writes it: an n= header, then one 'u v' line per edge with u < v, each
-    pair once. ParseError naming the file otherwise."""
-    def bad(what):
-        return ParseError(f"edge list {path}: {what}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head, _, body = fh.read().partition("\n")
-    except UnicodeDecodeError as exc:
-        raise bad(exc) from None
-    if not head.startswith("n="):
-        raise bad(f"first line {head!r} is not an n= header")
-    try:
-        n = int(head[2:])
-        flat = np.array(body.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise bad("the node count or an endpoint is not an integer") from None
-    if flat.size != 2 * body.count("\n"):
-        raise bad("expected one 'u v' line per edge")
-    u, v = flat[0::2], flat[1::2]
-    codes = pair_codes(u, v, n)
-    ascending = np.sort(codes)  # a repeated pair sits next to its twin
-    if n < 0 or not ((u >= 0) & (u < v) & (v < n)).all() \
-            or (ascending[1:] == ascending[:-1]).any():
-        raise bad(f"edges must be distinct pairs u < v of nodes below n={n}")
-    return n, codes
 
 
 def _node_set(g, nodes):

@@ -9,6 +9,7 @@ seed): re-running produces byte-identical files.
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
@@ -18,8 +19,7 @@ from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
                        write_loss_csv)
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError, InvalidParameter
-from .graphs import (graph_summary, load_edge_list_file, read_saved_edges,
-                     save_edge_list)
+from .graphs import graph_summary, load_edge_list_file, pair_codes, save_edge_list
 from .sampling import SCHEMES
 from .sbm import sbm_graph
 
@@ -86,9 +86,12 @@ _ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
 
 def _type_ok(typ, val):
     """Whether a JSON value fits a field annotation: ints pass for floats,
-    bools only for bools, a list of numbers for a tuple of floats."""
+    bools only for bools, a list of numbers for a tuple of floats; a float
+    must be finite (json reads NaN and Infinity, argparse nan and inf)."""
     if get_origin(typ) is tuple:
         return isinstance(val, (list, tuple)) and all(_type_ok(float, v) for v in val)
+    if isinstance(val, float) and not math.isfinite(val):
+        return False
     allowed = (get_args(typ) or (typ,)) + ((int,) if typ is float else ())
     return isinstance(val, allowed) and (bool in allowed or not isinstance(val, bool))
 
@@ -106,7 +109,8 @@ def _fill(cls, obj, where):
         if is_dataclass(types[name]):
             val = _fill(types[name], val, key)
         elif not _type_ok(types[name], val):
-            raise ConfigError(f"key {key!r} in {where} has the wrong type: {val!r}")
+            raise ConfigError(f"key {key!r} in {where} has the wrong type or is not "
+                              f"finite: {val!r}")
         kwargs[name] = tuple(map(float, val)) if get_origin(types[name]) is tuple else val
     return cls(**kwargs)
 
@@ -245,20 +249,22 @@ def cmd_generate(cfg):
             "report": _write(cfg, "assembly_report.json", _json(report))}
 
 
-def _load_synthetic(cfg, real):
-    """generate's synthetic graph, on the relabeled dataset's nodes."""
+def _load_synthetic(cfg, n, source):
+    """(Graph, LoadReport) of generate's synthetic graph; ConfigError naming
+    the file and `source`, where the expected node count n came from, unless
+    the graph is on n nodes."""
     path = _path(cfg, "synthetic.edgelist")
-    synth, _ = load_edge_list_file(path)
-    if synth.n != real.n:
-        raise ConfigError(f"synthetic graph {path} has n={synth.n}, but dataset "
-                          f"{cfg.dataset} has {real.n} nodes; re-run generate")
-    return synth
+    synth, loaded = load_edge_list_file(path)
+    if synth.n != n:
+        raise ConfigError(f"synthetic graph {path} has n={synth.n}, but {source} "
+                          f"has n={n}; re-run generate")
+    return synth, loaded
 
 
 def cmd_eval(cfg):
     """Structural stats for real vs synthetic + comparison tables."""
     real, _ = _require_dataset(cfg)
-    synth = _load_synthetic(cfg, real)
+    synth, _ = _load_synthetic(cfg, real.n, f"dataset {cfg.dataset}")
     reports = {"real": metrics.stats_report(real),
                "synthetic": metrics.stats_report(synth)}
     paths = {f"{label}_stats": _write(cfg, f"{label}_stats.json", _json(rep.to_dict()))
@@ -272,7 +278,7 @@ def cmd_linkpred(cfg):
     """Train the embedding predictor on the synthetic graph, evaluate on
     held-out real edges vs sampled non-edges."""
     real, _ = _require_dataset(cfg)
-    synth = _load_synthetic(cfg, real)
+    synth, _ = _load_synthetic(cfg, real.n, f"dataset {cfg.dataset}")
     ev = cfg.eval
     eval_set = linkpred.build_eval_set(real, ev.fraction, cfg.seed)
     model, _ = linkpred.train_link_predictor(synth, h=ev.h, epochs=ev.epochs,
@@ -307,7 +313,8 @@ def _generated_snapshots(cfg, n, provenance, thresholds):
 
     The recorded pass draws the same subgraphs as a fresh one, in the same
     order, so each snapshot is a prefix of synthetic.edgelist in entry
-    order.
+    order. That file must hold the pass: n nodes, and union_sizes[-1] kept
+    lines that are as many distinct pairs.
     """
     report_path = _path(cfg, "assembly_report.json")
     if not os.path.isfile(report_path):
@@ -318,13 +325,15 @@ def _generated_snapshots(cfg, n, provenance, thresholds):
     sizes = _union_sizes(report, report_path)
     if sizes[-1] < thresholds[-1]:
         return None
-    path = _path(cfg, "synthetic.edgelist")
-    n_file, codes = read_saved_edges(path)
-    if n_file != n or codes.size != sizes[-1]:
-        raise ConfigError(f"synthetic edge list {path} has n={n_file} and {codes.size} "
-                          f"edges, but {report_path} records a pass on n={n} nodes "
-                          f"that made {sizes[-1]}; re-run generate")
-    return assembly.snapshot_graphs(codes, sizes, thresholds, n)
+    synth, loaded = _load_synthetic(cfg, n, f"the pass recorded in {report_path}")
+    pairs = loaded.pairs
+    if pairs.shape[0] != sizes[-1] or synth.num_edges != sizes[-1]:
+        raise ConfigError(f"synthetic graph {_path(cfg, 'synthetic.edgelist')} holds "
+                          f"{synth.num_edges} distinct edges on {pairs.shape[0]} lines, "
+                          f"but {report_path} records a pass that made {sizes[-1]}; "
+                          "re-run generate")
+    return assembly.snapshot_graphs(pair_codes(pairs[:, 0], pairs[:, 1], n),
+                                    sizes, thresholds, n)
 
 
 def cmd_progressive(cfg):

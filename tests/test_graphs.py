@@ -6,8 +6,8 @@ import pytest
 from graphstitch.errors import InvalidNodeSet, ParseError
 from graphstitch.graphs import (Graph, graph_summary, induced_subgraph,
                                 is_connected, largest_connected_component,
-                                load_edge_list, save_edge_list,
-                                load_edge_list_file, read_saved_edges)
+                                load_edge_list, pair_codes, save_edge_list,
+                                load_edge_list_file)
 
 
 def random_graph(n, p, seed):
@@ -118,22 +118,11 @@ class TestLoadEdgeList:
         path = tmp_path / "g.edgelist"
         save_edge_list(g, path, order=order)
         assert path.read_text() == "n=6\n2 5\n0 1\n3 4\n1 4\n"
-        assert load_edge_list_file(path)[0] == g
-        n, codes = read_saved_edges(path)
-        assert n == 6 and codes.tolist() == order
+        g2, rep = load_edge_list_file(path)
+        assert g2 == g
+        assert pair_codes(rep.pairs[:, 0], rep.pairs[:, 1], 6).tolist() == order
         with pytest.raises(ValueError):
             save_edge_list(g, path, order=order[:-1])
-
-    @pytest.mark.parametrize("text", ["0 1\n", "n=x\n0 1\n", "n=4\n0 1 2\n",
-                                      "n=4\n0 1\n2\n", "n=4\n0 a\n", "n=4\n1 0\n",
-                                      "n=4\n2 2\n", "n=4\n0 4\n", "n=4\n-1 2\n",
-                                      "n=4\n0 1\n0 1\n", "n=4\n0 1\n\n",
-                                      "n=4\n0 1"])
-    def test_read_saved_edges_rejects_other_text(self, tmp_path, text):
-        path = tmp_path / "g.edgelist"
-        path.write_text(text)
-        with pytest.raises(ParseError, match="g.edgelist"):
-            read_saved_edges(path)
 
     def test_empty_input(self):
         g, rep = load_edge_list([])

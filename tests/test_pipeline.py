@@ -119,6 +119,12 @@ class TestConfig:
         ({"denoiser": {"lr": "fast"}}, "'lr' in denoiser"),
         ({"denoiser": {"freeze_node_ids": 1}}, "'freeze_node_ids' in denoiser"),
         ({"assembly": {"target_edges": "all"}}, "'target_edges' in assembly"),
+        ({"eval": {"lr": float("inf")}}, "'lr' in eval"),
+        ({"denoiser": {"lambda": float("nan")}}, "'lambda' in denoiser"),
+        ({"denoiser": {"lr": float("-inf")}}, "'lr' in denoiser"),
+        ({"assembly": {"target_fraction": float("inf")}}, "'target_fraction' in assembly"),
+        ({"delta": float("nan")}, "'delta'"),
+        ({"fractions": [0.5, float("nan")]}, "'fractions'"),
     ])
     def test_malformed_values_name_the_key(self, obj, key):
         with pytest.raises(ConfigError, match=key):
@@ -347,6 +353,9 @@ class TestCLI:
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("graphstitch:") and repr(next(iter(obj))) in err
+        # argparse reads nan and inf as floats; they meet the same check
+        assert cli.main(["linkpred", "--lr", "nan"]) == 2
+        assert "'lr' in eval" in capsys.readouterr().err
 
     def test_exit_code_2_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--out", str(tmp_path / "nowhere")])
@@ -752,7 +761,8 @@ class TestProgressiveReuse:
         assert got == progressive_csv(fresh)
 
     @pytest.mark.parametrize("edit", ["truncated", "extended", "header", "garbled",
-                                      "not_utf8", "union_sizes"])
+                                      "not_utf8", "union_sizes", "duplicated",
+                                      "repeated"])
     def test_mismatched_pass_exits_2_naming_the_file(self, trained, tmp_path, capsys,
                                                      edit):
         out = tmp_path / "out"
@@ -774,6 +784,10 @@ class TestProgressiveReuse:
             synth.write_text("".join(lines[:-1]) + "1 x\n")
         elif edit == "not_utf8":
             synth.write_bytes(synth.read_bytes() + b"\xff\n")
+        elif edit == "duplicated":  # as many lines, one distinct pair fewer
+            synth.write_text("".join(lines[:-1] + lines[1:2]))
+        elif edit == "repeated":  # one line more, as many distinct pairs
+            synth.write_text("".join(lines + lines[1:2]))
         elif edit == "union_sizes":
             report = json.loads((out / "assembly_report.json").read_text())
             report["union_sizes"] = [3, 2]
@@ -782,6 +796,26 @@ class TestProgressiveReuse:
         assert rc == 2
         name = "assembly_report.json" if edit == "union_sizes" else "synthetic.edgelist"
         assert str(out / name) in capsys.readouterr().err
+
+    def test_edits_eval_accepts_keep_the_pass(self, trained, tmp_path, monkeypatch):
+        """A comment, a blank line, a pair written v u and no final newline:
+        eval reads the same graph and progressive the same pass."""
+        out = tmp_path / "out"
+        cfg = copy_out(trained["cfg"], out)
+        pipeline.cmd_generate(cfg)
+        before = progressive_csv(cfg)
+        pipeline.cmd_eval(cfg)
+        comparison = (out / "comparison.csv").read_bytes()
+        synth = out / "synthetic.edgelist"
+        lines = synth.read_text().splitlines()
+        u, v = lines[2].split()
+        lines[2] = f"{v} {u}"
+        synth.write_text("\n".join(lines[:1] + ["# edited by hand", ""] + lines[1:]))
+        seen = spy_on_passes(monkeypatch)
+        assert progressive_csv(cfg) == before
+        assert not seen  # the recorded pass, not a fresh one
+        pipeline.cmd_eval(cfg)
+        assert (out / "comparison.csv").read_bytes() == comparison
 
     @pytest.mark.parametrize("generated", [False, True])
     def test_bad_fractions_exit_2_on_either_path(self, trained, tmp_path, capsys,
