@@ -9,7 +9,7 @@ structure and link-prediction utility can be compared to the original.
 from .assembly import SynthAccumulator, assemble, generate_subgraph, progressive_assemble
 from .denoiser import DenoiserParams, TrainConfig, grad, loss, predict, train
 from .diffusion import (NoiseSchedule, NoisySample, build_schedule, forward_noise,
-                        posterior_step, prior_sample, reverse_step, transition_apply)
+                        posterior_step, prior_sample, reverse_step)
 from .errors import (ConfigError, DegenerateDegrees, DegeneratePosterior,
                      InvalidNodeSet, InvalidParameter, NegativeSamplingExhausted,
                      ParseError, StalledAssembly)

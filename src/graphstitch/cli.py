@@ -108,6 +108,8 @@ def _build_config(args):
             section, _, name = key.rpartition(".")
             into = obj.setdefault(section, {}) if section else obj
             if isinstance(into, dict):  # otherwise config_from_obj names the section
+                # flags take the alias spellings: drop the file's canonical one
+                into.pop(pipeline.ALIASES.get(name), None)
                 into[name] = val
     return pipeline.config_from_obj(obj)
 

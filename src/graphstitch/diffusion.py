@@ -137,18 +137,12 @@ def cosine_alpha_bar(T, s=COSINE_OFFSET):
 def corpus_marginals(corpus):
     """(m_x, m_e): node-ID and pair-state frequencies over the corpus."""
     counts = np.bincount(corpus.ids, minlength=corpus.n_parent).astype(np.float64)
-    pairs = corpus.states.size
-    present = int(np.count_nonzero(corpus.states))
     total = counts.sum()
     if total == 0:
         raise InvalidParameter("corpus has no nodes")
-    m_x = counts / total
-    if pairs == 0:
-        m_e = np.array([0.5, 0.5])
-    else:
-        p = present / pairs
-        m_e = np.array([1.0 - p, p])
-    return m_x, m_e
+    pairs = corpus.states.size
+    p = np.count_nonzero(corpus.states) / pairs if pairs else 0.5  # no pairs: uniform
+    return counts / total, np.array([1.0 - p, p])
 
 
 def build_schedule(T, corpus):
@@ -162,18 +156,6 @@ def build_schedule(T, corpus):
         raise InvalidParameter(
             f"terminal distribution not mixed: alpha_bar[T] = {sched.alpha_bar[T]:.3g} > 1e-4")
     return sched
-
-
-def transition_apply(dist, t, which, sched):
-    """One forward step of the transition operator on a distribution row.
-
-    dist @ Q_t = alpha_t * dist + (1 - alpha_t) * sum(dist) * m.
-    """
-    if not 1 <= t <= sched.T:
-        raise InvalidParameter(f"t must be in 1..T, got {t}")
-    dist = np.asarray(dist, dtype=np.float64)
-    a = sched.alpha[t - 1]
-    return a * dist + (1.0 - a) * dist.sum() * sched.marginal(which)
 
 
 def forward_noise(sample, t, sched, seed, freeze_nodes=False):
@@ -202,70 +184,23 @@ def forward_noise(sample, t, sched, seed, freeze_nodes=False):
     return NoisySample(sample, t, x_t, e_t)
 
 
-def _posterior_batch(states, p_hat, t, sched, which):
-    """Reverse-step distributions, one row per element.
-
-    For observed state x_t and predicted clean distribution p_hat, the
-    mixture sum_x q(x_{t-1} | x, x_t) * 1[q(x_t|x) > 0] * p_hat(x) with the
-    rank-1 transitions collapses to
-
-        out_j = A_j * (ab_prev * w_j + (1 - ab_prev) * m_j * sum(w)),
-        A_j = a*1[j = x_t] + (1-a)*m[x_t],
-        w_x = 1[Z_x > 0] * p_hat(x) / Z_x,
-        Z_x = ab_t*1[x = x_t] + (1-ab_t)*m[x_t],
-
-    which is O(S) per element instead of the O(S^2) literal sum. This is
-    the oracle for reverse_step's sampler, which never builds these rows
-    for elements that stay put.
-    """
-    if not 1 <= t <= sched.T:
-        raise InvalidParameter(f"t must be in 1..T, got {t}")
-    m = sched.marginal(which)
-    S = len(m)
-    states = np.asarray(states, dtype=np.int64)
-    p_hat = np.asarray(p_hat, dtype=np.float64).reshape(len(states), S)
-    B = len(states)
-    a = sched.alpha[t - 1]
-    ab_t = sched.alpha_bar[t]
-    ab_prev = sched.alpha_bar[t - 1]
-    rows = np.arange(B)
-    m_obs = m[states]  # m[x_t] per row
-
-    Z = np.repeat(((1.0 - ab_t) * m_obs)[:, None], S, axis=1)
-    Z[rows, states] += ab_t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(Z > 0.0, p_hat / Z, 0.0)
-    w_sum = w.sum(axis=1)
-
-    A = np.repeat(((1.0 - a) * m_obs)[:, None], S, axis=1)
-    A[rows, states] += a
-    out = A * (ab_prev * w + (1.0 - ab_prev) * m[None, :] * w_sum[:, None])
-    total = out.sum(axis=1)
-    if not np.isfinite(total).all() or (total <= 0.0).any():
-        raise DegeneratePosterior(f"zero-mass posterior at t={t} ({which})")
-    return out / total[:, None]
-
-
-def posterior_step(x_t, p_hat, t, sched, which):
-    """Distribution over the t-1 state of a single element."""
-    out = _posterior_batch(np.array([x_t]), p_hat[None, :], t, sched, which)
-    return out[0]
-
-
 def _mixture(states, p_obs, p_off, t, sched, which):
     """The t-1 posterior of each element as a three-way mixture.
 
-    With x = x_t and the notation of _posterior_batch, the row is
+    With x = x_t, summing q(x_{t-1} | y, x_t) * 1[q(x_t|y) > 0] * p_hat(y)
+    over the clean states y under the rank-1 transitions gives the row
 
         out_j = k_p*p_hat_j + k_m*m_j  (j != x),    out_x = stay,
         k_p = (1-a)*m[x]*ab_prev / c,    k_m = (1-a)*m[x]*(1-ab_prev)*sum(w),
         stay = A_x * (ab_prev*w_x + (1-ab_prev)*m[x]*sum(w)),
-        c = Z_j (j != x) = (1-ab_t)*m[x],    sum(w) = p_off/c + w_x,
+        A_x = a + (1-a)*m[x],    w_y = 1[Z_y > 0]*p_hat(y)/Z_y,
+        Z_x = ab_t + (1-ab_t)*m[x],    c = Z_j (j != x) = (1-ab_t)*m[x],
+        sum(w) = p_off/c + w_x,
 
     that is p_hat without x, m without x and a point mass at x. p_obs is
     p_hat[x] and p_off the row's sum off x, so a row costs O(1). Returns
     (k_p, k_m, stay, total); DegeneratePosterior where a total is zero or
-    not finite, as in _posterior_batch.
+    not finite.
     """
     if not 1 <= t <= sched.T:
         raise InvalidParameter(f"t must be in 1..T, got {t}")
@@ -286,6 +221,21 @@ def _mixture(states, p_obs, p_off, t, sched, which):
     if not np.isfinite(total).all() or not (total > 0.0).all():
         raise DegeneratePosterior(f"zero-mass posterior at t={t} ({which})")
     return k_p, k_m, stay, total
+
+
+def posterior_step(x_t, p_hat, t, sched, which):
+    """Distribution over the t-1 state of one element in state x_t: the row
+    _mixture's components add up to, over its total."""
+    m = sched.marginal(which)
+    p_hat = np.asarray(p_hat, dtype=np.float64)
+    if p_hat.shape != m.shape or not 0 <= x_t < len(m):
+        raise InvalidParameter(f"{which} posterior needs p_hat of length {len(m)} and x_t "
+                               f"in 0..{len(m) - 1}, got shape {p_hat.shape} and {x_t}")
+    (k_p,), (k_m,), (stay,), (total,) = _mixture(
+        np.array([x_t]), p_hat[x_t], p_hat.sum() - p_hat[x_t], t, sched, which)
+    out = k_p * p_hat + k_m * m
+    out[x_t] = stay
+    return out / total
 
 
 def _sample_nodes(x_t, p_hat, t, sched, u):
@@ -329,16 +279,11 @@ def reverse_step(noisy, p_hat_x, p_hat_e, sched, seed):
     """Sample G_{t-1} ~ p(.|G_t) under the predicted clean distributions:
     k uniforms for the nodes, then one per pair."""
     rng = as_generator(seed)
-    t = noisy.t
-    k = noisy.k
+    t, k, e_t = noisy.t, noisy.k, noisy.e_t
     p_hat_x = np.asarray(p_hat_x, dtype=np.float64).reshape(k, -1)
     x_prev = _sample_nodes(noisy.x_t, p_hat_x, t, sched, rng.random(k))
-    e_t = noisy.e_t
-    if e_t.size:
-        p_hat_e = np.asarray(p_hat_e, dtype=np.float64).reshape(e_t.size, 2)
-        e_prev = _sample_pairs(e_t, p_hat_e, t, sched, rng.random(e_t.size))
-    else:
-        e_prev = e_t.copy()
+    p_hat_e = np.asarray(p_hat_e, dtype=np.float64).reshape(e_t.size, 2)
+    e_prev = _sample_pairs(e_t, p_hat_e, t, sched, rng.random(e_t.size))
     return NoisySample(noisy.base, t - 1, x_prev, e_prev)
 
 

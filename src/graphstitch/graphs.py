@@ -30,6 +30,24 @@ def decode_pairs(codes, n):
     return np.column_stack([codes // n, codes % n])
 
 
+def in_sorted(a, x):
+    """Whether each entry of x occurs in the sorted array a."""
+    if not a.size:
+        return np.zeros(np.shape(x), dtype=bool)
+    return a[np.minimum(np.searchsorted(a, x), a.size - 1)] == x
+
+
+def gather_segments(values, ptr, which):
+    """The segments values[ptr[i]:ptr[i + 1]] for i in `which`, concatenated
+    in that order, and their lengths, in O(len(which) + output)."""
+    which = np.asarray(which, dtype=np.int64)
+    starts = ptr[which]
+    counts = ptr[which + 1] - starts
+    # position of each gathered entry: its segment start plus its offset
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return values[shift + np.arange(shift.size)], counts
+
+
 def scatter_add(index, rows, size):
     """(size, C) array whose row r sums the rows[q] with index[q] == r, one
     at a time in the order of q (bincount), with the bits of a 0/1 product."""
@@ -82,12 +100,7 @@ class Graph:
     def neighbor_slices(self, nodes):
         """Concatenated sorted neighbor slices of `nodes`, in their order,
         and the length of each slice."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self._indptr[nodes]
-        counts = self._indptr[nodes + 1] - starts
-        # position of each gathered entry: its row start plus its offset
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return self._nbrs[shift + np.arange(shift.size)], counts
+        return gather_segments(self._nbrs, self._indptr, nodes)
 
     def random_neighbors(self, nodes, rng):
         """A uniform random neighbor of each of `nodes` (all of degree >= 1)."""
@@ -95,9 +108,7 @@ class Graph:
         return self._nbrs[starts + rng.integers(self._indptr[nodes + 1] - starts)]
 
     def has_edge(self, u, v):
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return bool(i < nb.size and nb[i] == v)
+        return bool(in_sorted(self.neighbors(u), v))
 
     def edge_set(self):
         """Frozen set of (u, v) tuples with u < v (cached)."""

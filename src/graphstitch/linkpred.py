@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NegativeSamplingExhausted
-from .graphs import decode_pairs, pair_codes, scatter_add
+from .graphs import decode_pairs, in_sorted, pair_codes, scatter_add
 from .rng import substream
 
 MAX_NEGATIVE_DRAWS = 1_000_000
@@ -33,13 +33,6 @@ class EmbeddingModel:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         logits = (self.z[pairs[:, 0]] * self.z[pairs[:, 1]]).sum(axis=1) + self.bias
         return 1.0 / (1.0 + np.exp(-logits))
-
-
-def _in_sorted(a, x):
-    """Whether each entry of x occurs in the sorted array a."""
-    if not a.size:
-        return np.zeros(x.shape, dtype=bool)
-    return a[np.minimum(np.searchsorted(a, x), a.size - 1)] == x
 
 
 def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
@@ -65,7 +58,7 @@ def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
         ok = np.ones(batch, dtype=bool)
         ok[1:] = ranked[1:] != ranked[:-1]
         ok &= (cand[:, 0] != cand[:, 1])[order]
-        ok &= ~_in_sorted(g.edge_codes, ranked) & ~_in_sorted(seen, ranked)
+        ok &= ~in_sorted(g.edge_codes, ranked) & ~in_sorted(seen, ranked)
         keep = np.zeros(batch, dtype=bool)
         keep[order[ok]] = True
         chosen = np.concatenate([chosen, codes[keep][:count - chosen.size]])

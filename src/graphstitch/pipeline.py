@@ -81,7 +81,7 @@ class PipelineConfig:
         return self
 
 
-_ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
+ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
 
 
 def _type_ok(typ, val):
@@ -101,11 +101,14 @@ def _fill(cls, obj, where):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where!r} must be an object, got {obj!r}")
     types = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
+    kwargs, spelled = {}, {}
     for key, val in obj.items():
-        name = _ALIASES.get(key, key)
+        name = ALIASES.get(key, key)
         if name not in types:
             raise ConfigError(f"unknown key {key!r} in {where}")
+        if name in spelled:
+            raise ConfigError(f"keys {spelled[name]!r} and {key!r} in {where} both set {name!r}")
+        spelled[name] = key
         if is_dataclass(types[name]):
             val = _fill(types[name], val, key)
         elif not _type_ok(types[name], val):
@@ -119,11 +122,21 @@ def config_from_obj(obj):
     return _fill(PipelineConfig, obj, "config").validate()
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; ValueError naming a key it holds twice."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = val
+    return obj
+
+
 def read_json_object(path, what):
     """The JSON object in a file; ConfigError naming the file otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     # not JSON, not UTF-8, or nested deeper than the decoder recurses
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: {exc}") from None

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InvalidParameter
 # induced_subgraph is not called here, but bench/tracing.py times it under
 # this module's name, so the name stays bound
-from .graphs import Graph, induced_subgraph, largest_connected_component  # noqa: F401
+from .graphs import (Graph, gather_segments, in_sorted, induced_subgraph,  # noqa: F401
+                     largest_connected_component)
 from .rng import substream
 
 SCHEMES = ("Unif", "RW", "Ego")
@@ -182,18 +183,8 @@ def _induce(g, ids, ptr, scheme, k, d):
             want = nodes[:, iu]
             want *= g.n
             want += nodes[:, ju]
-            at = np.searchsorted(codes, want)
-            np.minimum(at, codes.size - 1, out=at)
-            states[pair_ptr[part] + np.arange(iu.size)] = codes[at] == want
+            states[pair_ptr[part] + np.arange(iu.size)] = in_sorted(codes, want)
     return SampleCorpus.packed(ids, ptr, states, g.n, scheme, k, d)
-
-
-def _take(ids, ptr, order):
-    """(ids, ptr) of the node sets ids[ptr[s]:ptr[s+1]] taken in `order`."""
-    sizes = np.diff(ptr)[order]
-    out = _offsets(sizes)
-    shift = np.repeat(ptr[:-1][order] - out[:-1], sizes)
-    return ids[shift + np.arange(out[-1])], out
 
 
 def _uniform_sets(g, k, count, seed):
@@ -299,7 +290,8 @@ def build_corpus(g, scheme, k, d=5, count=None, delta=0.05, seed=0):
     else:
         ids, ptr = _ego_sets(g, k, d, seed)
     perm = substream(seed, "shuffle").permutation(len(ptr) - 1)
-    return _induce(g, *_take(ids, ptr, perm), scheme, k, d)
+    ids, sizes = gather_segments(ids, ptr, perm)
+    return _induce(g, ids, _offsets(sizes), scheme, k, d)
 
 
 @lru_cache(maxsize=64)

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from diffusion_oracle import _posterior_batch
 from graphstitch.diffusion import (NoiseSchedule, NoisySample, build_schedule,
                                    corpus_marginals, cosine_alpha_bar,
                                    forward_noise, posterior_step, prior_sample,
-                                   reverse_step, transition_apply,
-                                   _mixture, _posterior_batch)
+                                   reverse_step, _mixture)
 from graphstitch.errors import DegeneratePosterior, InvalidParameter
 from graphstitch.graphs import Graph
 from graphstitch.sampling import SampleCorpus, SubgraphSample, build_corpus
@@ -131,32 +131,6 @@ class TestSchedule:
             NoiseSchedule(2, [0.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5], [0.5, 0.5])
 
 
-class TestTransitionApply:
-    def test_pinned_example(self):
-        sched = mini_schedule(0.7, 0.9, m_x=[0.2, 0.3, 0.5])
-        out = transition_apply(np.array([1.0, 0.0, 0.0]), 2, "node", sched)
-        assert np.allclose(out, [0.76, 0.09, 0.15], atol=1e-12)
-
-    def test_composition_equals_closed_form(self):
-        sched = build_schedule(30, toy_corpus())
-        rng = np.random.default_rng(1)
-        for which in ("node", "edge"):
-            m = sched.marginal(which)
-            dist = rng.random(len(m))
-            dist /= dist.sum()
-            stepped = dist.copy()
-            for t in range(1, 13):
-                stepped = transition_apply(stepped, t, which, sched)
-            ab = sched.alpha_bar[12]
-            closed = ab * dist + (1 - ab) * m
-            assert np.abs(stepped - closed).max() < 1e-12
-
-    def test_preserves_total_mass(self):
-        sched = build_schedule(10, toy_corpus())
-        out = transition_apply(np.full(6, 1 / 6), 5, "node", sched)
-        assert np.isclose(out.sum(), 1.0, atol=1e-12)
-
-
 class TestForwardNoise:
     def test_deterministic_and_shapes(self):
         corpus = toy_corpus()
@@ -245,18 +219,36 @@ class TestPosterior:
         # p_hat gives that no mass
         with pytest.raises(DegeneratePosterior):
             posterior_step(2, p_hat, 2, sched, "node")
+        # a p_hat whose length is not the marginal's, or an x_t out of range
+        for x_t, p, which in ((0, p_hat[:2], "node"), (0, p_hat, "edge"),
+                              (0, p_hat[None, :], "node"), (3, p_hat, "node"),
+                              (-1, p_hat, "node"), (2, p_hat[:2], "edge")):
+            with pytest.raises(InvalidParameter):
+                posterior_step(x_t, p, 2, sched, which)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
         m = np.array([0.3, 0.3, 0.4])
-        sched = mini_schedule(0.6, 0.7, m_x=m)
         states = rng.integers(0, 3, size=8)
         p_hat = rng.random((8, 3))
         p_hat /= p_hat.sum(1, keepdims=True)
-        batch = _posterior_batch(states, p_hat, 2, sched, "node")
-        for i in range(8):
-            single = posterior_step(int(states[i]), p_hat[i], 2, sched, "node")
-            assert np.allclose(batch[i], single, atol=1e-15)
+        cases = [  # (m_x, m_e, which, states, p_hat)
+            (m, (0.5, 0.5), "node", states, p_hat),
+            (m, (0.5, 0.5), "node", states,
+             rng.random((8, 3)) * rng.uniform(0.01, 50.0, (8, 1))),  # unnormalised
+            # m[x_t] = 0 and p_hat[x_t] > 0: a point mass that stays at x_t = 2
+            ([0.5, 0.5, 0.0], (0.5, 0.5), "node", np.array([2, 0, 2, 1]),
+             rng.random((4, 3)) + 0.1),
+            (m, (0.8, 0.2), "edge", rng.integers(0, 2, size=8), rng.random((8, 2))),
+        ]
+        for m_x, m_e, which, states, p_hat in cases:
+            sched = mini_schedule(0.6, 0.7, m_x=m_x, m_e=m_e)
+            batch = _posterior_batch(states, p_hat, 2, sched, which)
+            for x_t, row, want in zip(states.tolist(), p_hat, batch):
+                got = posterior_step(x_t, row, 2, sched, which)
+                assert np.abs(got - want).max() < 1e-12
+                if sched.marginal(which)[x_t] == 0:
+                    assert got[x_t] == 1.0
 
 
 class TestReverseStep:

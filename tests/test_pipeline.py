@@ -104,6 +104,10 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             pipeline.load_config(p)
+        for text in ('{"k": 4, "k": 5}', '{"eval": {"h": 4, "epochs": 2, "h": 8}}'):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=f"{re.escape(str(p))}: key .* twice"):
+                pipeline.load_config(p)
 
     @pytest.mark.parametrize("obj, key", [
         ({"denoiser": 5}, "'denoiser'"),
@@ -125,6 +129,9 @@ class TestConfig:
         ({"assembly": {"target_fraction": float("inf")}}, "'target_fraction' in assembly"),
         ({"delta": float("nan")}, "'delta'"),
         ({"fractions": [0.5, float("nan")]}, "'fractions'"),
+        ({"eval": {"lr": 0.5, "learning_rate": 0.25}}, "'lr' and 'learning_rate' in eval"),
+        ({"denoiser": {"lam": 1.0, "lambda": 2.0}}, "'lam' and 'lambda' in denoiser"),
+        ({"denoiser": {"layers": 2, "L": 3}}, "'layers' and 'L' in denoiser"),
     ])
     def test_malformed_values_name_the_key(self, obj, key):
         with pytest.raises(ConfigError, match=key):
