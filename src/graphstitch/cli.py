@@ -16,6 +16,7 @@ import sys
 
 from . import pipeline
 from .errors import (ConfigError, InvalidNodeSet, InvalidParameter, ParseError)
+from .jsonio import read_json
 from .sampling import SCHEMES
 
 # argparse dests that are not config keys
@@ -102,7 +103,7 @@ def _build_config(args):
     """Each override flag's dest is the config key it sets, spelled as a config
     file spells it: the given flags are written into the file's object (or
     {}), which is then parsed once."""
-    obj = pipeline.read_json_object(args.config, "config") if args.config else {}
+    obj = read_json(args.config, "config")[0] if args.config else {}
     for key, val in vars(args).items():
         if val is not None and key not in _NOT_KEYS:
             section, _, name = key.rpartition(".")

@@ -9,8 +9,6 @@ the uniform distribution everywhere.
 """
 
 import base64
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +20,7 @@ import numpy as np
 from .diffusion import forward_noise
 from .errors import InvalidParameter
 from .graphs import scatter_add
+from .jsonio import read_json, to_json
 from .rng import substream
 from .sampling import local_pairs
 
@@ -132,23 +131,16 @@ class DenoiserParams:
         obj = {"L": self.L, "h": self.h, "n": self.n, "tensors": tensors,
                "time_dim": TIME_FEATURES, "version": CHECKPOINT_VERSION}
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(to_json(obj, indent=None))
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint written by save; InvalidParameter naming the file
-        unless its tensors are exactly those of its (n, h, L), all finite."""
+        """Read a checkpoint written by save (through jsonio.read_json);
+        InvalidParameter naming the file unless its tensors are exactly those
+        of its (n, h, L), all finite."""
         def bad(what):
             return InvalidParameter(f"checkpoint {path}: {what}")
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        try:
-            obj = json.loads(blob)
-        # not JSON, not UTF-8, or nested deeper than the decoder recurses
-        except (ValueError, RecursionError) as exc:
-            raise bad(f"not JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise bad("not a JSON object")
+        obj, digest = read_json(path, "checkpoint")
         if obj.get("version") != CHECKPOINT_VERSION:
             raise bad(f"version {obj.get('version')!r} is not {CHECKPOINT_VERSION}; "
                       "re-run train to rewrite it")
@@ -177,7 +169,7 @@ class DenoiserParams:
             if not np.isfinite(tensors[key]).all():
                 raise bad(f"tensor {key!r} has non-finite values")
         params = cls(*sizes, tensors)
-        params.digest = hashlib.sha256(blob).hexdigest()
+        params.digest = digest
         return params
 
 

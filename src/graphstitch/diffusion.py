@@ -10,13 +10,12 @@ components whose masses cost O(1), so a full row is built only for the
 elements whose draw leaves their current state.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePosterior, InvalidParameter
+from .jsonio import read_json, to_json
 from .rng import as_generator
 
 COSINE_OFFSET = 0.008
@@ -47,6 +46,10 @@ class NoiseSchedule:
         self.alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
         self.m_x = np.asarray(self.m_x, dtype=np.float64)
         self.m_e = np.asarray(self.m_e, dtype=np.float64)
+        if self.m_e.shape != (2,) or any(a.ndim != 1 for a in
+                                         (self.alpha, self.alpha_bar, self.m_x)):
+            raise InvalidParameter("alpha, alpha_bar and m_x must be 1-D and m_e "
+                                   "must have two entries")
         if self.T < 1 or len(self.alpha) != self.T or len(self.alpha_bar) != self.T + 1:
             raise InvalidParameter("schedule arrays inconsistent with T")
         if not all(((a >= 0) & (a <= 1)).all() for a in (self.alpha, self.alpha_bar)):
@@ -79,26 +82,22 @@ class NoiseSchedule:
         obj = {"T": self.T, "alpha_bar": self.alpha_bar.tolist(),
                "m_X": self.m_x.tolist(), "m_E": self.m_e.tolist()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(to_json(obj))
 
     @classmethod
     def load(cls, path):
-        """Read a schedule written by save; InvalidParameter naming the file
-        unless it is one."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        """Read a schedule written by save (through jsonio.read_json);
+        InvalidParameter naming the file unless it is one."""
+        obj, digest = read_json(path, "schedule")
         try:
-            obj = json.loads(blob)
             T = obj["T"]
             if type(T) is not int:  # not a float, string or bool that int() takes
                 raise TypeError(f"T must be an integer, got {T!r}")
             ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
             with np.errstate(all="ignore"):  # the constructor rejects what warns
                 alpha = ab[1:] / ab[:-1]
-            return cls(T, alpha, ab, obj["m_X"], obj["m_E"],
-                       digest=hashlib.sha256(blob).hexdigest())
-        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+            return cls(T, alpha, ab, obj["m_X"], obj["m_E"], digest=digest)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise InvalidParameter(
                 f"schedule {path}: {type(exc).__name__}: {exc}") from None
 

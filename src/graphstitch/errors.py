@@ -14,7 +14,9 @@ class InvalidParameter(ValueError):
 
 
 class ConfigError(ValueError):
-    """Pipeline config file or CLI override failed validation."""
+    """Pipeline config file or CLI override failed validation, or a JSON
+    artifact (config, checkpoint, schedule, corpus stats, assembly report)
+    is not one UTF-8 JSON object without a repeated key."""
 
 
 class DegeneratePosterior(RuntimeError):

@@ -148,15 +148,21 @@ class LoadReport:
     pairs: np.ndarray  # the kept (u, v) rows in file order, as Graph got them
 
 
+def _is_decimal(token):
+    """ASCII decimal digits only; int() also takes '+3', '1_0' and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def load_edge_list(lines, relabel=False):
     """Parse an edge-list text into (Graph, LoadReport).
 
     Format: one 'u v' pair per line, '#' comment lines ignored, optional
     first content line 'n=<int>' declaring the node count (which preserves
-    trailing isolated nodes). Self-loops are dropped and counted; duplicate
-    and reversed duplicate pairs collapse to one undirected edge, also
-    counted. With relabel=True the distinct node labels are remapped to
-    0..n-1 in sorted order and the original labels returned in the report.
+    trailing isolated nodes); IDs and the count are ASCII decimal digits.
+    Self-loops are dropped and counted; duplicate and reversed duplicate
+    pairs collapse to one undirected edge, also counted. With relabel=True
+    the distinct node labels are remapped to 0..n-1 in sorted order and the
+    original labels returned in the report.
     """
     header_n = None
     us = []
@@ -169,24 +175,16 @@ def load_edge_list(lines, relabel=False):
             continue
         if not seen_content and line.startswith("n="):
             seen_content = True
-            try:
-                header_n = int(line[2:])
-            except ValueError:
+            if not _is_decimal(line[2:]):
                 raise ParseError(f"line {lineno}: bad node-count header {line!r}")
-            if header_n < 0:
-                raise ParseError(f"line {lineno}: negative node count")
+            header_n = int(line[2:])
             continue
         seen_content = True
         tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u = int(tokens[0])
-            v = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}")
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative node ID in {line!r}")
+        if len(tokens) != 2 or not all(map(_is_decimal, tokens)):
+            raise ParseError(f"line {lineno}: expected 'u v' in ASCII decimal digits, "
+                             f"got {line!r}")
+        u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             self_loops += 1
             continue

@@ -8,7 +8,6 @@ seed): re-running produces byte-identical files.
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -20,6 +19,7 @@ from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError, InvalidParameter
 from .graphs import graph_summary, load_edge_list_file, pair_codes, save_edge_list
+from .jsonio import read_json, to_json
 from .sampling import SCHEMES
 from .sbm import sbm_graph
 
@@ -66,6 +66,8 @@ class PipelineConfig:
             raise ConfigError("delta must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.count is not None and self.count < 1:
+            raise ConfigError("count must be >= 1")
         try:
             self.denoiser.validate()
         except InvalidParameter as exc:
@@ -78,6 +80,12 @@ class PipelineConfig:
                 raise ConfigError(f"assembly.{key} must be >= 1")
         if not 0.0 < self.eval.fraction <= 1.0:
             raise ConfigError("eval.fraction must be in (0, 1]")
+        if self.eval.h < 1:
+            raise ConfigError("eval.h must be >= 1")
+        if self.eval.epochs < 0:
+            raise ConfigError("eval.epochs must be >= 0")
+        if self.eval.learning_rate <= 0:
+            raise ConfigError("eval.learning_rate must be > 0")
         return self
 
 
@@ -122,31 +130,8 @@ def config_from_obj(obj):
     return _fill(PipelineConfig, obj, "config").validate()
 
 
-def _unique_keys(pairs):
-    """A JSON object's dict; ValueError naming a key it holds twice."""
-    obj = {}
-    for key, val in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} appears twice")
-        obj[key] = val
-    return obj
-
-
-def read_json_object(path, what):
-    """The JSON object in a file; ConfigError naming the file otherwise."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
-    # not JSON, not UTF-8, or nested deeper than the decoder recurses
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{what} {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} {path}: expected a JSON object")
-    return obj
-
-
 def load_config(path):
-    return config_from_obj(read_json_object(path, "config"))
+    return config_from_obj(read_json(path, "config")[0])
 
 
 def _path(cfg, name):
@@ -159,10 +144,6 @@ def _write(cfg, name, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
-
-
-def _json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _require_dataset(cfg):
@@ -183,13 +164,13 @@ def cmd_sample(cfg):
     stats["self_loops_dropped"] = report.self_loops_dropped
     stats["duplicates_collapsed"] = report.duplicates_collapsed
     return {"corpus": corpus_path,
-            "stats": _write(cfg, "corpus_stats.json", _json(stats)),
-            "relabel_map": _write(cfg, "relabel_map.json", _json(report.id_map.tolist()))}
+            "stats": _write(cfg, "corpus_stats.json", to_json(stats)),
+            "relabel_map": _write(cfg, "relabel_map.json", to_json(report.id_map.tolist()))}
 
 
 def _read_corpus(cfg):
     path = _path(cfg, "corpus_stats.json")
-    stats = read_json_object(path, "corpus stats")
+    stats, _ = read_json(path, "corpus stats")
     try:
         meta = [stats[key] for key in ("n_parent", "scheme", "k", "d")]
     except KeyError as exc:
@@ -259,7 +240,7 @@ def cmd_generate(cfg):
               "union_sizes": acc.union_sizes,
               "provenance": _provenance(cfg, params, sched, k_gen)}
     return {"synthetic": synth_path,
-            "report": _write(cfg, "assembly_report.json", _json(report))}
+            "report": _write(cfg, "assembly_report.json", to_json(report))}
 
 
 def _load_synthetic(cfg, n, source):
@@ -280,7 +261,7 @@ def cmd_eval(cfg):
     synth, _ = _load_synthetic(cfg, real.n, f"dataset {cfg.dataset}")
     reports = {"real": metrics.stats_report(real),
                "synthetic": metrics.stats_report(synth)}
-    paths = {f"{label}_stats": _write(cfg, f"{label}_stats.json", _json(rep.to_dict()))
+    paths = {f"{label}_stats": _write(cfg, f"{label}_stats.json", to_json(rep.to_dict()))
              for label, rep in reports.items()}
     paths["comparison_csv"] = _write(cfg, "comparison.csv", metrics.comparison_csv(reports))
     paths["comparison_txt"] = _write(cfg, "comparison.txt", metrics.comparison_text(reports))
@@ -304,7 +285,7 @@ def cmd_linkpred(cfg):
     csv.writer(table, lineterminator="\n").writerows(
         [("method", "dataset", "auc", "ap", "seed"),
          ("embedding-dot", dataset, auc, ap, cfg.seed)])
-    return {"results": _write(cfg, "linkpred.json", _json(results)),
+    return {"results": _write(cfg, "linkpred.json", to_json(results)),
             "csv": _write(cfg, "linkpred.csv", table.getvalue())}
 
 
@@ -332,7 +313,7 @@ def _generated_snapshots(cfg, n, provenance, thresholds):
     report_path = _path(cfg, "assembly_report.json")
     if not os.path.isfile(report_path):
         return None
-    report = read_json_object(report_path, "assembly report")
+    report, _ = read_json(report_path, "assembly report")
     if report.get("provenance") != provenance:
         return None
     sizes = _union_sizes(report, report_path)

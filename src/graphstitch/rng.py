@@ -6,7 +6,7 @@ Re-running any unit of work with the same seed therefore reproduces
 it exactly, independent of what ran before.
 """
 
-import hashlib
+from hashlib import blake2b
 
 import numpy as np
 
@@ -17,7 +17,7 @@ def _path_entropy(part):
         if part < 0:
             raise ValueError("substream path ints must be non-negative")
         return int(part)
-    digest = hashlib.blake2b(str(part).encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(str(part).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

@@ -87,6 +87,11 @@ class TestLoadEdgeList:
             load_edge_list(["a b"])
         with pytest.raises(ParseError):
             load_edge_list(["-1 2"])
+        # int() reads each of these; the format's IDs are ASCII decimal digits
+        for lines, at in ((["0 1", "1_0 2"], 2), (["n=1_2", "0 1"], 1), (["+3 2"], 1),
+                          (["\u0663 2"], 1)):
+            with pytest.raises(ParseError, match=f"line {at}:"):
+                load_edge_list(lines)
 
     def test_relabel(self):
         g, rep = load_edge_list(["10 40", "40 7"], relabel=True)

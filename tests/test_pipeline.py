@@ -153,6 +153,28 @@ class TestConfig:
         cfg = pipeline.config_from_obj({"assembly": {key: 1}})
         assert getattr(cfg.assembly, key) == 1
 
+    @pytest.mark.parametrize("key, bad, good", [("eval.h", (0, -2), 1),
+                                                ("eval.epochs", (-1,), 0),
+                                                ("eval.learning_rate", (0.0, -0.5), 1e-3),
+                                                ("count", (0, -3), 1)])
+    def test_eval_settings_and_count_checked_at_load(self, tmp_path, capsys, key, bad,
+                                                     good):
+        section, _, name = key.rpartition(".")
+
+        def obj(val):
+            return {section: {name: val}} if section else {name: val}
+
+        for val in bad:
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                pipeline.config_from_obj(obj(val))
+        cfg = pipeline.config_from_obj(obj(good))
+        assert getattr(cfg.eval if section else cfg, name) == good
+        # sample, the first command, already stops
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(obj(bad[0])))
+        assert cli.main(["sample", "--config", str(p)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_scheme_names_are_exact(self):
         for scheme in ("rw", "random_walk", "uniform", "ego", "EGO"):
             with pytest.raises(ConfigError, match=re.escape(str(SCHEMES))):
@@ -412,7 +434,8 @@ class TestCLI:
         assert str(ckpt) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "data", "truncated",
-                                      "not_base64", "short_bytes", "nan", "version_1"])
+                                      "not_base64", "short_bytes", "nan", "version_1",
+                                      "repeated_key", "utf16"])
     def test_exit_code_2_on_mismatched_checkpoint(self, tmp_path, capsys, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -441,11 +464,17 @@ class TestCLI:
         elif edit == "version_1":
             obj["version"] = 1
         text = json.dumps(obj)
-        ckpt.write_text(text[:len(text) // 2] if edit == "truncated" else text)
+        if edit == "truncated":
+            text = text[:len(text) // 2]
+        elif edit == "repeated_key":  # "L" comes first; a decoder keeping the last passes
+            text = '{"L": 7, ' + text[1:]
+        ckpt.write_bytes(text.encode("utf-16" if edit == "utf16" else "utf-8"))
         rc = cli.main(["generate", "--target-edges", "3", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "checkpoint.json" in err
+        if edit == "repeated_key":
+            assert "'L' appears twice" in err
         if edit == "nan":
             assert "node_embed" in err and "non-finite" in err
         if edit == "version_1":
@@ -468,8 +497,14 @@ class TestCLI:
 
     BAD_T = {"T_float": 2.9, "T_string": "2", "T_bool": True}
 
+    # each marginal sums to 1, so only the shape check rejects it
+    BAD_SHAPE = {"m_X_halves": {"m_X": [[0.1, 0.1]] * 5},
+                 "m_X_rows": {"m_X": [[0.2]] * 5},
+                 "m_E_three": {"m_E": [0.5, 0.25, 0.25]}}
+
     @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X",
-                                      *BAD_ALPHA_BAR, *BAD_T])
+                                      "repeated_key", "utf16", *BAD_ALPHA_BAR, *BAD_T,
+                                      *BAD_SHAPE])
     def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, recwarn, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -486,6 +521,13 @@ class TestCLI:
             sched.write_text(json.dumps(obj))
         elif edit == "not_an_object":
             sched.write_text(json.dumps([obj]))
+        elif edit == "repeated_key":  # "T" comes first; a decoder keeping the last passes
+            sched.write_text('{"T": 9, ' + sched.read_text()[1:])
+        elif edit == "utf16":
+            sched.write_bytes(sched.read_text().encode("utf-16"))
+        elif edit in self.BAD_SHAPE:
+            obj.update(self.BAD_SHAPE[edit])
+            sched.write_text(json.dumps(obj))
         elif edit in self.BAD_ALPHA_BAR:
             obj["alpha_bar"] = self.BAD_ALPHA_BAR[edit]
             sched.write_text(json.dumps(obj))
