@@ -20,7 +20,7 @@ import numpy as np
 from .diffusion import forward_noise
 from .errors import InvalidParameter
 from .graphs import scatter_add
-from .jsonio import read_json, to_json
+from .jsonio import fits, read_json, to_json
 from .rng import substream
 from .sampling import local_pairs
 
@@ -141,14 +141,14 @@ class DenoiserParams:
         def bad(what):
             return InvalidParameter(f"checkpoint {path}: {what}")
         obj, digest = read_json(path, "checkpoint")
-        if obj.get("version") != CHECKPOINT_VERSION:
-            raise bad(f"version {obj.get('version')!r} is not {CHECKPOINT_VERSION}; "
-                      "re-run train to rewrite it")
-        if obj.get("time_dim") != TIME_FEATURES:
-            raise bad(f"time_dim {obj.get('time_dim')!r} is not {TIME_FEATURES}")
-        sizes = [obj.get(key) for key in ("n", "h", "L")]
-        if not all(type(v) is int and v >= 1 for v in sizes):
-            raise bad(f"n, h and L must be positive integers, got {sizes}")
+        head = [obj.get(key) for key in ("version", "time_dim", "n", "h", "L")]
+        if not fits(tuple[int, ...], head):
+            raise bad(f"version, time_dim, n, h and L must be integers, got {head}")
+        version, time_dim, *sizes = head
+        if version != CHECKPOINT_VERSION:
+            raise bad(f"version {version} is not {CHECKPOINT_VERSION}; re-run train to rewrite it")
+        if time_dim != TIME_FEATURES or min(sizes) < 1:
+            raise bad(f"time_dim must be {TIME_FEATURES} and n, h and L >= 1, got {head[1:]}")
         shapes = _tensor_shapes(*sizes)
         specs = obj.get("tensors")
         if not isinstance(specs, dict) or specs.keys() != shapes.keys():
@@ -160,7 +160,8 @@ class DenoiserParams:
             shape = shapes[key]
             try:  # binascii.Error, raised on bad base64, is a ValueError
                 raw = base64.b64decode(spec["data"], validate=True)
-                ok = tuple(spec["shape"]) == shape and len(raw) == 8 * math.prod(shape)
+                ok = (fits(tuple[int, ...], spec["shape"]) and tuple(spec["shape"]) == shape
+                      and len(raw) == 8 * math.prod(shape))
             except (KeyError, TypeError, ValueError):
                 ok = False
             if not ok:

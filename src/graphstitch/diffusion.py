@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePosterior, InvalidParameter
-from .jsonio import read_json, to_json
+from .jsonio import fits, read_json, to_json
 from .rng import as_generator
 
 COSINE_OFFSET = 0.008
@@ -89,17 +89,17 @@ class NoiseSchedule:
         """Read a schedule written by save (through jsonio.read_json);
         InvalidParameter naming the file unless it is one."""
         obj, digest = read_json(path, "schedule")
+        T, ab, m_x, m_e = (obj.get(key) for key in ("T", "alpha_bar", "m_X", "m_E"))
+        if not (fits(int, T) and all(fits(tuple[float, ...], v) for v in (ab, m_x, m_e))):
+            raise InvalidParameter(f"schedule {path}: T must be an integer and alpha_bar, "
+                                   "m_X and m_E lists of finite numbers")
+        ab = np.asarray(ab, dtype=np.float64)
+        with np.errstate(all="ignore"):  # the constructor rejects what warns
+            alpha = ab[1:] / ab[:-1]
         try:
-            T = obj["T"]
-            if type(T) is not int:  # not a float, string or bool that int() takes
-                raise TypeError(f"T must be an integer, got {T!r}")
-            ab = np.asarray(obj["alpha_bar"], dtype=np.float64)
-            with np.errstate(all="ignore"):  # the constructor rejects what warns
-                alpha = ab[1:] / ab[:-1]
-            return cls(T, alpha, ab, obj["m_X"], obj["m_E"], digest=digest)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InvalidParameter(
-                f"schedule {path}: {type(exc).__name__}: {exc}") from None
+            return cls(T, alpha, ab, m_x, m_e, digest=digest)
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"schedule {path}: {exc}") from None
 
 
 @dataclass

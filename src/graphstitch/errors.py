@@ -16,7 +16,8 @@ class InvalidParameter(ValueError):
 class ConfigError(ValueError):
     """Pipeline config file or CLI override failed validation, or a JSON
     artifact (config, checkpoint, schedule, corpus stats, assembly report)
-    is not one UTF-8 JSON object without a repeated key."""
+    is not one UTF-8 JSON object without a repeated key. A value's type is
+    checked by jsonio.fits, the one rule for the config and every artifact."""
 
 
 class DegeneratePosterior(RuntimeError):

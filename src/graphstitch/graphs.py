@@ -153,7 +153,7 @@ def _is_decimal(token):
     return token.isascii() and token.isdigit()
 
 
-def load_edge_list(lines, relabel=False):
+def load_edge_list(lines, relabel=False, check_n=None):
     """Parse an edge-list text into (Graph, LoadReport).
 
     Format: one 'u v' pair per line, '#' comment lines ignored, optional
@@ -162,7 +162,9 @@ def load_edge_list(lines, relabel=False):
     Self-loops are dropped and counted; duplicate and reversed duplicate
     pairs collapse to one undirected edge, also counted. With relabel=True
     the distinct node labels are remapped to 0..n-1 in sorted order and the
-    original labels returned in the report.
+    original labels returned in the report. check_n, when given, is called
+    with the node count before any array of that size is made, so a reader
+    can refuse a header that declares billions of nodes.
     """
     header_n = None
     us = []
@@ -204,16 +206,18 @@ def load_edge_list(lines, relabel=False):
         pairs = np.searchsorted(id_map, pairs)
     else:
         n = max_id + 1 if header_n is None else header_n
+    if check_n is not None:
+        check_n(n)
 
     g = Graph(n, pairs)
     return g, LoadReport(self_loops, pairs.shape[0] - g.num_edges, id_map, pairs)
 
 
-def load_edge_list_file(path, relabel=False):
+def load_edge_list_file(path, relabel=False, check_n=None):
     """load_edge_list of a file; ParseError naming the file otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh, relabel=relabel)
+            return load_edge_list(fh, relabel=relabel, check_n=check_n)
     except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"edge list {path}: {exc}") from None
 

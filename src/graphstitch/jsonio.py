@@ -1,9 +1,12 @@
-"""The package's one JSON writer and one JSON reader: every JSON file the
-pipeline writes is to_json's text, and every one it reads, the config
-included, goes through read_json."""
+"""The package's one JSON writer, one JSON reader and one rule for JSON
+values: every JSON file the pipeline writes is to_json's text, every one it
+reads, the config included, goes through read_json, and every field read
+from one is checked with fits before it is compared or converted."""
 
 import hashlib
 import json
+import math
+from typing import get_args, get_origin
 
 from .errors import ConfigError
 
@@ -36,3 +39,17 @@ def read_json(path, what):
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} {path}: expected a JSON object")
     return obj, hashlib.sha256(blob).hexdigest()
+
+
+def fits(typ, val):
+    """Whether a JSON value fits a type annotation: bools are not numbers,
+    an int fits float but a float never fits int, a number must be finite
+    (json reads NaN and Infinity, argparse nan and inf), X | Y takes either,
+    and tuple[T, ...] takes a list whose every entry fits T."""
+    if get_origin(typ) is tuple:
+        elem = get_args(typ)[0]
+        return isinstance(val, (list, tuple)) and all(fits(elem, v) for v in val)
+    if isinstance(val, float) and not math.isfinite(val):
+        return False
+    allowed = (get_args(typ) or (typ,)) + ((int,) if typ is float else ())
+    return isinstance(val, allowed) and (bool in allowed or not isinstance(val, bool))

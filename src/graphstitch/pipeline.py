@@ -8,10 +8,9 @@ seed): re-running produces byte-identical files.
 
 import csv
 import io
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin
+from typing import get_origin
 
 from . import assembly, linkpred, metrics, sampling
 from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
@@ -19,7 +18,7 @@ from .denoiser import (DenoiserParams, DenoiserSettings, TrainConfig, train,
 from .diffusion import NoiseSchedule, build_schedule
 from .errors import ConfigError, InvalidParameter
 from .graphs import graph_summary, load_edge_list_file, pair_codes, save_edge_list
-from .jsonio import read_json, to_json
+from .jsonio import fits, read_json, to_json
 from .sampling import SCHEMES
 from .sbm import sbm_graph
 
@@ -70,6 +69,7 @@ class PipelineConfig:
             raise ConfigError("count must be >= 1")
         try:
             self.denoiser.validate()
+            assembly.snapshot_thresholds(self.fractions, 1)  # progressive's rule
         except InvalidParameter as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.assembly.target_fraction:
@@ -92,18 +92,6 @@ class PipelineConfig:
 ALIASES = {"lambda": "lam", "lr": "learning_rate", "layers": "L"}
 
 
-def _type_ok(typ, val):
-    """Whether a JSON value fits a field annotation: ints pass for floats,
-    bools only for bools, a list of numbers for a tuple of floats; a float
-    must be finite (json reads NaN and Infinity, argparse nan and inf)."""
-    if get_origin(typ) is tuple:
-        return isinstance(val, (list, tuple)) and all(_type_ok(float, v) for v in val)
-    if isinstance(val, float) and not math.isfinite(val):
-        return False
-    allowed = (get_args(typ) or (typ,)) + ((int,) if typ is float else ())
-    return isinstance(val, allowed) and (bool in allowed or not isinstance(val, bool))
-
-
 def _fill(cls, obj, where):
     """cls from a JSON object; a field that is itself a section recurses."""
     if not isinstance(obj, dict):
@@ -119,7 +107,7 @@ def _fill(cls, obj, where):
         spelled[name] = key
         if is_dataclass(types[name]):
             val = _fill(types[name], val, key)
-        elif not _type_ok(types[name], val):
+        elif not fits(types[name], val):
             raise ConfigError(f"key {key!r} in {where} has the wrong type or is not "
                               f"finite: {val!r}")
         kwargs[name] = tuple(map(float, val)) if get_origin(types[name]) is tuple else val
@@ -171,17 +159,16 @@ def cmd_sample(cfg):
 def _read_corpus(cfg):
     path = _path(cfg, "corpus_stats.json")
     stats, _ = read_json(path, "corpus stats")
-    try:
-        meta = [stats[key] for key in ("n_parent", "scheme", "k", "d")]
-    except KeyError as exc:
-        raise ConfigError(f"corpus stats {path}: missing key {exc}") from None
-    if type(meta[0]) is not int or meta[0] < 1:
-        raise ConfigError(f"corpus stats {path}: n_parent must be a positive integer, "
-                          f"got {meta[0]!r}")
+    meta = {"n_parent": int, "scheme": str, "k": int, "d": int | None}
+    if not (meta.keys() <= stats.keys()
+            and all(fits(typ, stats[key]) for key, typ in meta.items())
+            and stats["n_parent"] >= 1 and fits(int, stats.get("count", 0))):
+        raise ConfigError(f"corpus stats {path}: needs n_parent >= 1, scheme a string, "
+                          "k an integer, d an integer or null, and count, if present, "
+                          "an integer")
     corpus_path = _path(cfg, "corpus.jsonl")
-    corpus = sampling.read_corpus_jsonl(corpus_path, *meta)
-    if "count" in stats and (type(stats["count"]) is not int
-                             or stats["count"] != len(corpus)):
+    corpus = sampling.read_corpus_jsonl(corpus_path, *(stats[key] for key in meta))
+    if stats.get("count", len(corpus)) != len(corpus):
         raise ConfigError(f"corpus {corpus_path} holds {len(corpus)} samples, but "
                           f"corpus stats {path} records count {stats['count']!r}; "
                           "re-run sample")
@@ -246,13 +233,14 @@ def cmd_generate(cfg):
 def _load_synthetic(cfg, n, source):
     """(Graph, LoadReport) of generate's synthetic graph; ConfigError naming
     the file and `source`, where the expected node count n came from, unless
-    the graph is on n nodes."""
+    the file's node count is n, checked before the graph is built."""
     path = _path(cfg, "synthetic.edgelist")
-    synth, loaded = load_edge_list_file(path)
-    if synth.n != n:
-        raise ConfigError(f"synthetic graph {path} has n={synth.n}, but {source} "
-                          f"has n={n}; re-run generate")
-    return synth, loaded
+
+    def check_n(declared):
+        if declared != n:
+            raise ConfigError(f"synthetic graph {path} has n={declared}, but {source} "
+                              f"has n={n}; re-run generate")
+    return load_edge_list_file(path, check_n=check_n)
 
 
 def cmd_eval(cfg):
@@ -289,17 +277,6 @@ def cmd_linkpred(cfg):
             "csv": _write(cfg, "linkpred.csv", table.getvalue())}
 
 
-def _union_sizes(report, path):
-    """The report's union size after each subgraph; ConfigError naming the
-    file unless they are a non-decreasing list of integers."""
-    sizes = report.get("union_sizes")
-    if not (isinstance(sizes, list) and sizes and all(type(s) is int for s in sizes)
-            and sizes[0] >= 0 and all(a <= b for a, b in zip(sizes, sizes[1:]))):
-        raise ConfigError(f"assembly report {path}: union_sizes must be a non-empty, "
-                          "non-decreasing list of integers")
-    return sizes
-
-
 def _generated_snapshots(cfg, n, provenance, thresholds):
     """The snapshot graphs at `thresholds`, sliced from the pass that
     generate recorded in the output directory; None unless that pass has
@@ -316,7 +293,11 @@ def _generated_snapshots(cfg, n, provenance, thresholds):
     report, _ = read_json(report_path, "assembly report")
     if report.get("provenance") != provenance:
         return None
-    sizes = _union_sizes(report, report_path)
+    sizes = report.get("union_sizes")
+    if not (fits(tuple[int, ...], sizes) and sizes and sizes[0] >= 0
+            and all(a <= b for a, b in zip(sizes, sizes[1:]))):
+        raise ConfigError(f"assembly report {report_path}: union_sizes must be a "
+                          "non-empty, non-decreasing list of integers")
     if sizes[-1] < thresholds[-1]:
         return None
     synth, loaded = _load_synthetic(cfg, n, f"the pass recorded in {report_path}")

@@ -156,7 +156,9 @@ class TestConfig:
     @pytest.mark.parametrize("key, bad, good", [("eval.h", (0, -2), 1),
                                                 ("eval.epochs", (-1,), 0),
                                                 ("eval.learning_rate", (0.0, -0.5), 1e-3),
-                                                ("count", (0, -3), 1)])
+                                                ("count", (0, -3), 1),
+                                                ("fractions", ([0.5, 0.2], [], [0.0, 1.5]),
+                                                 (0.5, 1.0))])
     def test_eval_settings_and_count_checked_at_load(self, tmp_path, capsys, key, bad,
                                                      good):
         section, _, name = key.rpartition(".")
@@ -408,7 +410,7 @@ class TestCLI:
         assert "n=5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "linkpred"])
-    @pytest.mark.parametrize("n", [10, 40])
+    @pytest.mark.parametrize("n", [10, 40, 4000000000])  # the last would need 30 GiB
     def test_exit_code_2_on_synthetic_node_count(self, tmp_path, capsys, command, n):
         dataset = tmp_path / "sbm.edgelist"
         save_edge_list(sbm_graph([12, 12], 0.5, 0.1, seed=0), dataset)
@@ -435,7 +437,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "data", "truncated",
                                       "not_base64", "short_bytes", "nan", "version_1",
-                                      "repeated_key", "utf16"])
+                                      "repeated_key", "utf16", "version_float",
+                                      "time_dim_float", "shape_float"])
     def test_exit_code_2_on_mismatched_checkpoint(self, tmp_path, capsys, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -463,6 +466,11 @@ class TestCLI:
             tensors["node_embed"]["data"] = base64.b64encode(values.tobytes()).decode()
         elif edit == "version_1":
             obj["version"] = 1
+        elif edit in ("version_float", "time_dim_float"):  # the right values, as floats
+            key = edit.removesuffix("_float")
+            obj[key] = float(obj[key])
+        elif edit == "shape_float":
+            tensors["node_head_w"]["shape"] = [float(v) for v in tensors["node_head_w"]["shape"]]
         text = json.dumps(obj)
         if edit == "truncated":
             text = text[:len(text) // 2]
@@ -497,14 +505,16 @@ class TestCLI:
 
     BAD_T = {"T_float": 2.9, "T_string": "2", "T_bool": True}
 
-    # each marginal sums to 1, so only the shape check rejects it
-    BAD_SHAPE = {"m_X_halves": {"m_X": [[0.1, 0.1]] * 5},
+    # each marginal sums to 1, so only a field's shape or entry type rejects it
+    BAD_FIELD = {"m_X_halves": {"m_X": [[0.1, 0.1]] * 5},
                  "m_X_rows": {"m_X": [[0.2]] * 5},
-                 "m_E_three": {"m_E": [0.5, 0.25, 0.25]}}
+                 "m_E_three": {"m_E": [0.5, 0.25, 0.25]},
+                 "m_X_strings": {"m_X": ["0.2"] * 5},
+                 "alpha_bar_bool": {"alpha_bar": [True, 0.5, 0]}}
 
     @pytest.mark.parametrize("edit", ["truncated", "missing", "not_an_object", "m_X",
                                       "repeated_key", "utf16", *BAD_ALPHA_BAR, *BAD_T,
-                                      *BAD_SHAPE])
+                                      *BAD_FIELD])
     def test_exit_code_2_on_bad_schedule(self, tmp_path, capsys, recwarn, edit):
         out = tmp_path / "out"
         out.mkdir()
@@ -525,8 +535,8 @@ class TestCLI:
             sched.write_text('{"T": 9, ' + sched.read_text()[1:])
         elif edit == "utf16":
             sched.write_bytes(sched.read_text().encode("utf-16"))
-        elif edit in self.BAD_SHAPE:
-            obj.update(self.BAD_SHAPE[edit])
+        elif edit in self.BAD_FIELD:
+            obj.update(self.BAD_FIELD[edit])
             sched.write_text(json.dumps(obj))
         elif edit in self.BAD_ALPHA_BAR:
             obj["alpha_bar"] = self.BAD_ALPHA_BAR[edit]
@@ -546,7 +556,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("text", ['{"n_parent": 5, "sch', '[1, 2]', '{"n_parent": 5}',
                                       '{"n_parent": 0, "scheme": "RW", "k": 2, "d": 1}',
-                                      '{"n_parent": "5", "scheme": "RW", "k": 2, "d": 1}'])
+                                      '{"n_parent": "5", "scheme": "RW", "k": 2, "d": 1}',
+                                      '{"n_parent": 5, "scheme": "RW", "k": "2", "d": 1}',
+                                      '{"n_parent": 5, "scheme": "RW", "k": 2, "d": 1.5}',
+                                      '{"n_parent": 5, "scheme": 3, "k": 2, "d": 1}'])
     def test_exit_code_2_on_bad_corpus_stats(self, tmp_path, capsys, text):
         stats = tmp_path / "corpus_stats.json"
         stats.write_text(text)
@@ -809,8 +822,8 @@ class TestProgressiveReuse:
         fresh = copy_out(cfg, tmp_path / "fresh", drop=("assembly_report.json",))
         assert got == progressive_csv(fresh)
 
-    @pytest.mark.parametrize("edit", ["truncated", "extended", "header", "garbled",
-                                      "not_utf8", "union_sizes", "duplicated",
+    @pytest.mark.parametrize("edit", ["truncated", "extended", "header", "huge_header",
+                                      "garbled", "not_utf8", "union_sizes", "duplicated",
                                       "repeated"])
     def test_mismatched_pass_exits_2_naming_the_file(self, trained, tmp_path, capsys,
                                                      edit):
@@ -829,6 +842,8 @@ class TestProgressiveReuse:
             synth.write_text("".join(lines) + "%d %d\n" % extra)
         elif edit == "header":
             synth.write_text(f"n={n + 1}\n" + "".join(lines[1:]))
+        elif edit == "huge_header":  # a graph on this many nodes would need 30 GiB
+            synth.write_text("n=4000000000\n" + "".join(lines[1:]))
         elif edit == "garbled":
             synth.write_text("".join(lines[:-1]) + "1 x\n")
         elif edit == "not_utf8":
