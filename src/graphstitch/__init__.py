@@ -6,6 +6,20 @@ subgraphs and unions their edges back into one synthetic graph whose
 structure and link-prediction utility can be compared to the original.
 """
 
+import os
+
+# Each CLI command is a short process, and OpenBLAS's idle worker thread
+# spins for 2**28 cycles after start-up and after every matrix product. At
+# 4, OpenBLAS's floor, the worker sleeps instead; both threads stay, so
+# outputs keep their bytes. On a 2-core box the benchmark's six-command
+# chain on a Chung-Lu n=1000 graph went from 3.85 to 2.56 s of CPU (median
+# of 10 runs each) at 2.56 against 2.51 s of wall time. Pinning one thread
+# (OPENBLAS_NUM_THREADS=1) saves as much CPU but changes train's bytes at
+# n~1000 and made a train step at n~10k 15% slower. OpenBLAS reads this
+# once, when numpy loads it, so it is set before the first numpy import; a
+# value already in the environment wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .assembly import SynthAccumulator, assemble, generate_subgraph, progressive_assemble
 from .denoiser import DenoiserParams, TrainConfig, grad, loss, predict, train
 from .diffusion import (NoiseSchedule, NoisySample, build_schedule, forward_noise,

@@ -17,7 +17,7 @@ import numpy as np
 from .diffusion import prior_sample, reverse_step
 from .denoiser import predict
 from .errors import InvalidParameter, StalledAssembly
-from .graphs import Graph, decode_pairs, pair_codes
+from .graphs import Graph, decode_pairs, pair_codes, sorted_unique
 from .rng import as_generator, substream
 from .sampling import SubgraphSample, local_pairs
 
@@ -58,7 +58,7 @@ def generate_subgraph(params, sched, k, seed):
         noisy = reverse_step(noisy, p_x, p_e, sched, rng)
 
     ids = noisy.x_t
-    uniq = np.unique(ids)
+    uniq = sorted_unique(ids)
     remap = np.searchsorted(uniq, ids)
     iu, ju = local_pairs(k)
     present = noisy.e_t == 1
@@ -104,7 +104,7 @@ def _union_loop(make_subgraph, n, target):
     while acc.num_edges < target:
         sub = make_subgraph(acc.subgraphs_used)
         ea = sub.id_map[sub.local.edge_array]
-        codes = np.unique(pair_codes(ea[:, 0], ea[:, 1], n)).tolist()
+        codes = sorted_unique(pair_codes(ea[:, 0], ea[:, 1], n)).tolist()
         new = [c for c in codes if c not in union]
         union.update(new)
         entered += new

@@ -30,6 +30,19 @@ def decode_pairs(codes, n):
     return np.column_stack([codes // n, codes % n])
 
 
+def sorted_unique(a):
+    """np.unique(a): the sorted distinct entries of a, flattened, NaNs
+    collapsed to one. np.unique imports numpy.ma on its first call, about
+    9 ms of a CLI command's start-up; this sorts and keeps each run's first."""
+    s = np.sort(np.ravel(a))
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    if s.dtype.kind in "fc":  # NaNs sort last: drop each one after the first
+        keep[1:] &= ~np.isnan(s[:-1])
+    return s[keep]
+
+
 def in_sorted(a, x):
     """Whether each entry of x occurs in the sorted array a."""
     if not a.size:
@@ -76,7 +89,7 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if (arr[:, 0] == arr[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-        codes = np.unique(pair_codes(arr[:, 0], arr[:, 1], n))
+        codes = sorted_unique(pair_codes(arr[:, 0], arr[:, 1], n))
         codes.flags.writeable = False
         self.edge_codes = codes
         self.edge_array = arr = decode_pairs(codes, n)
@@ -201,7 +214,7 @@ def load_edge_list(lines, relabel=False, check_n=None):
         raise ParseError(f"header n={header_n} does not cover max node ID {max_id}")
     id_map = None
     if relabel:
-        id_map = np.unique(pairs)
+        id_map = sorted_unique(pairs)
         n = int(id_map.size)
         pairs = np.searchsorted(id_map, pairs)
     else:
@@ -246,7 +259,7 @@ def _node_set(g, nodes):
     s = np.asarray(nodes, dtype=np.int64).ravel()
     if s.size == 0:
         raise InvalidNodeSet("node set must be non-empty")
-    uniq = np.unique(s)
+    uniq = sorted_unique(s)
     if uniq.size != s.size:
         raise InvalidNodeSet("node set contains duplicates")
     s = uniq

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NegativeSamplingExhausted
-from .graphs import decode_pairs, in_sorted, pair_codes, scatter_add
+from .graphs import decode_pairs, in_sorted, pair_codes, scatter_add, sorted_unique
 from .rng import substream
 
 MAX_NEGATIVE_DRAWS = 1_000_000
@@ -39,12 +39,15 @@ def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
     """`count` distinct node pairs that are not edges of g (batched rejection).
 
     Pairs come in draw order: a batch drops self-pairs, repeats within it
-    (the first draw wins), edges of g and pairs chosen in earlier batches.
+    (the first draw wins), edges of g and pairs chosen earlier. Each batch is
+    drawn whole but checked in draw-order prefixes of about twice the pairs
+    still needed, so an epoch that needs few pairs sorts few draws.
     """
-    chosen = np.empty(0, dtype=np.int64)  # in draw order
-    seen = chosen  # the same codes, sorted
+    chosen = [np.empty(0, dtype=np.int64)]  # accepted codes of each prefix, in draw order
+    seen = chosen[0]  # the same codes, sorted
+    need = count
     draws = 0
-    while chosen.size < count:
+    while need > 0:
         if draws >= budget:
             raise NegativeSamplingExhausted(
                 f"drew {draws} candidate pairs for {count} non-edges; graph too dense")
@@ -52,19 +55,25 @@ def _sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
         cand = rng.integers(0, g.n, size=(batch, 2))
         draws += batch
         codes = pair_codes(cand[:, 0], cand[:, 1], g.n)
-        # stable: each code's first draw leads its repeats in sorted order
-        order = np.argsort(codes, kind="stable")
-        ranked = codes[order]
-        ok = np.ones(batch, dtype=bool)
-        ok[1:] = ranked[1:] != ranked[:-1]
-        ok &= (cand[:, 0] != cand[:, 1])[order]
-        ok &= ~in_sorted(g.edge_codes, ranked) & ~in_sorted(seen, ranked)
-        keep = np.zeros(batch, dtype=bool)
-        keep[order[ok]] = True
-        chosen = np.concatenate([chosen, codes[keep][:count - chosen.size]])
-        added = ranked[ok]
-        seen = np.insert(seen, np.searchsorted(seen, added), added)
-    return decode_pairs(chosen, g.n)
+        lo = 0
+        while need > 0 and lo < batch:
+            hi = min(batch, lo + 2 * need + 64)
+            part = codes[lo:hi]
+            # stable: each code's first draw leads its repeats in sorted order
+            order = np.argsort(part, kind="stable")
+            ranked = part[order]
+            ok = np.ones(hi - lo, dtype=bool)
+            ok[1:] = ranked[1:] != ranked[:-1]
+            ok &= (cand[lo:hi, 0] != cand[lo:hi, 1])[order]
+            ok &= ~in_sorted(g.edge_codes, ranked) & ~in_sorted(seen, ranked)
+            keep = np.zeros(hi - lo, dtype=bool)
+            keep[order[ok]] = True
+            chosen.append(part[keep][:need])
+            need -= chosen[-1].size
+            added = ranked[ok]
+            seen = np.insert(seen, np.searchsorted(seen, added), added)
+            lo = hi
+    return decode_pairs(np.concatenate(chosen), g.n)
 
 
 def build_eval_set(real, fraction, seed):
@@ -131,7 +140,7 @@ def average_precision(pos_scores, neg_scores):
     """Step-interpolated AP over the distinct score thresholds."""
     pos = np.sort(np.asarray(pos_scores, dtype=np.float64))
     neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    thresholds = sorted_unique(np.concatenate([pos, neg]))[::-1]
     tp = pos.size - np.searchsorted(pos, thresholds, side="left")
     fp = neg.size - np.searchsorted(neg, thresholds, side="left")
     precision = tp / (tp + fp)

@@ -162,10 +162,12 @@ def _read_corpus(cfg):
     meta = {"n_parent": int, "scheme": str, "k": int, "d": int | None}
     if not (meta.keys() <= stats.keys()
             and all(fits(typ, stats[key]) for key, typ in meta.items())
-            and stats["n_parent"] >= 1 and fits(int, stats.get("count", 0))):
-        raise ConfigError(f"corpus stats {path}: needs n_parent >= 1, scheme a string, "
-                          "k an integer, d an integer or null, and count, if present, "
-                          "an integer")
+            and stats["n_parent"] >= 1 and stats["scheme"] in SCHEMES and stats["k"] >= 1
+            and (stats["d"] is None if stats["scheme"] == "Unif" else (stats["d"] or 0) >= 1)
+            and fits(int, stats.get("count", 0))):
+        raise ConfigError(f"corpus stats {path}: needs n_parent >= 1, scheme one of "
+                          f"{SCHEMES}, k >= 1, d >= 1 (null for Unif), and count, if "
+                          "present, an integer")
     corpus_path = _path(cfg, "corpus.jsonl")
     corpus = sampling.read_corpus_jsonl(corpus_path, *(stats[key] for key in meta))
     if stats.get("count", len(corpus)) != len(corpus):

@@ -23,7 +23,7 @@ from .errors import InvalidParameter
 # induced_subgraph is not called here, but bench/tracing.py times it under
 # this module's name, so the name stays bound
 from .graphs import (Graph, gather_segments, in_sorted, induced_subgraph,  # noqa: F401
-                     largest_connected_component)
+                     largest_connected_component, sorted_unique)
 from .rng import substream
 
 SCHEMES = ("Unif", "RW", "Ego")
@@ -172,7 +172,7 @@ def _induce(g, ids, ptr, scheme, k, d):
     pair_ptr = _offsets(sizes * (sizes - 1) // 2)
     states = np.zeros(pair_ptr[-1], dtype=np.int8)
     codes = g.edge_codes
-    for size in np.unique(sizes[sizes > 1]).tolist() if codes.size else ():
+    for size in sorted_unique(sizes[sizes > 1]).tolist() if codes.size else ():
         iu, ju = local_pairs(size)
         members = np.flatnonzero(sizes == size)
         step = max(1, LOOKUP_CHUNK // iu.size)
@@ -254,7 +254,7 @@ def two_hop_neighborhood(g, v):
     """Sorted node IDs of the closed 2-hop neighborhood of v."""
     n1 = g.neighbors(v)
     n2, _ = g.neighbor_slices(n1)
-    return np.unique(np.concatenate([[v], n1, n2]))
+    return sorted_unique(np.concatenate([[v], n1, n2]))
 
 
 def sample_ego(g, k, d, seed=0):
@@ -308,7 +308,7 @@ def write_corpus_jsonl(corpus, path):
     # the pair texts of every size in the corpus, one table after another
     first = np.zeros(int(sizes.max(initial=0)) + 1, dtype=np.int64)
     texts = []
-    for size in np.unique(sizes).tolist():
+    for size in sorted_unique(sizes).tolist():
         first[size] = len(texts)
         texts += _pair_texts(size)
     texts = np.array(texts, dtype=object)

@@ -5,6 +5,10 @@ This is the sampler that batch rejection against `Graph.edge_codes` in
 candidate at a time against a set of (u, v) tuples. Tests compare the fast
 sampler's pairs, their order and its draw count against it.
 
+`sample_non_edges_whole_batch` is the batch-rejection sampler before it
+checked each batch in prefixes: it sorts and tests all 4,096 draws of a
+batch, however few pairs are still needed.
+
 `train_link_predictor` is the trainer's epoch loop before it gathered each
 epoch's endpoint rows once and scattered the gradient in one call: separate
 gathers for the scores and the gradient, and four `np.add.at` scatters.
@@ -13,6 +17,7 @@ gathers for the scores and the gradient, and four `np.add.at` scatters.
 import numpy as np
 
 from graphstitch.errors import NegativeSamplingExhausted
+from graphstitch.graphs import decode_pairs, in_sorted, pair_codes
 from graphstitch.linkpred import MAX_NEGATIVE_DRAWS, _sample_non_edges
 from graphstitch.rng import substream
 
@@ -41,6 +46,35 @@ def sample_non_edges(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
             if len(chosen) == count:
                 break
     return np.array(chosen, dtype=np.int64)
+
+
+def sample_non_edges_whole_batch(g, count, rng, budget=MAX_NEGATIVE_DRAWS):
+    """`count` distinct node pairs that are not edges of g, in draw order,
+    each batch's draws sorted and tested at once."""
+    chosen = np.empty(0, dtype=np.int64)  # in draw order
+    seen = chosen  # the same codes, sorted
+    draws = 0
+    while chosen.size < count:
+        if draws >= budget:
+            raise NegativeSamplingExhausted(
+                f"drew {draws} candidate pairs for {count} non-edges; graph too dense")
+        batch = min(4096, budget - draws)
+        cand = rng.integers(0, g.n, size=(batch, 2))
+        draws += batch
+        codes = pair_codes(cand[:, 0], cand[:, 1], g.n)
+        # stable: each code's first draw leads its repeats in sorted order
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        ok = np.ones(batch, dtype=bool)
+        ok[1:] = ranked[1:] != ranked[:-1]
+        ok &= (cand[:, 0] != cand[:, 1])[order]
+        ok &= ~in_sorted(g.edge_codes, ranked) & ~in_sorted(seen, ranked)
+        keep = np.zeros(batch, dtype=bool)
+        keep[order[ok]] = True
+        chosen = np.concatenate([chosen, codes[keep][:count - chosen.size]])
+        added = ranked[ok]
+        seen = np.insert(seen, np.searchsorted(seen, added), added)
+    return decode_pairs(chosen, g.n)
 
 
 def train_link_predictor(synthetic, h=16, epochs=500, lr=1.0, seed=0):

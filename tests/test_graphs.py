@@ -7,7 +7,7 @@ from graphstitch.errors import InvalidNodeSet, ParseError
 from graphstitch.graphs import (Graph, graph_summary, induced_subgraph,
                                 is_connected, largest_connected_component,
                                 load_edge_list, pair_codes, save_edge_list,
-                                load_edge_list_file)
+                                load_edge_list_file, sorted_unique)
 
 
 def random_graph(n, p, seed):
@@ -33,6 +33,23 @@ def components_oracle(g):
     for v in range(g.n):
         comps.setdefault(find(v), []).append(v)
     return sorted(comps.values(), key=lambda c: (-len(c), c[0]))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([5, 3, 5, -2, 3, 9, 0, 0], dtype=np.int64),
+    np.random.default_rng(0).integers(0, 50, size=(40, 2)),
+    np.array([np.nan, 1.5, -0.0, np.nan, 0.0, 1.5, np.inf, -np.inf, np.nan]),
+    np.array([np.nan, np.nan]),
+    np.random.default_rng(1).random(200).round(1),
+    np.empty(0, dtype=np.int64),
+    np.empty((0, 2)),
+], ids=["ints", "int-rows", "floats-nan", "all-nan", "float-repeats", "empty", "empty-rows"])
+def test_sorted_unique_is_np_unique(values):
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGraph:

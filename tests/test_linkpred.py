@@ -189,6 +189,25 @@ class TestNonEdgeSampler:
         assert results == ["str", "ndarray"]
 
 
+def random_pairs_graph(n, draws, seed):
+    """A graph on n nodes from `draws` random pairs, self-pairs dropped."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(draws, 2))
+    return Graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+@pytest.mark.parametrize("g", [random_pairs_graph(192, 470, seed=5),
+                               sbm_graph([40, 40], 0.6, 0.3, seed=6)],
+                         ids=["sparse-192", "dense-sbm"])
+def test_prefix_sampler_matches_whole_batch_over_epochs(g):
+    # the epochs of train_link_predictor: count = m, one substream per epoch
+    for epoch in range(50):
+        got_rng, want_rng = (substream(9, "lp-epoch", epoch) for _ in range(2))
+        got = _sample_non_edges(g, g.num_edges, got_rng)
+        want = oracle.sample_non_edges_whole_batch(g, g.num_edges, want_rng)
+        assert np.array_equal(got, want) and got.shape == (g.num_edges, 2)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestTraining:
     def test_loss_decreases(self):
         g = sbm_graph([12, 12], 0.5, 0.05, seed=2)

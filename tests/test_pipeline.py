@@ -569,6 +569,28 @@ class TestCLI:
 
     GOOD_LINE = '{"edges":[[0,1]],"ids":[3,7]}\n'
 
+    @pytest.mark.parametrize("edit", [
+        {"scheme": "nonsense"}, {"scheme": "rw"},
+        {"k": -7}, {"k": 0},
+        {"d": -1}, {"d": 0}, {"d": None}, {"scheme": "Ego", "d": None},
+        {"scheme": "Unif", "d": 1},
+    ], ids=["scheme-unknown", "scheme-case", "k-negative", "k-zero", "d-negative",
+            "d-zero", "d-null-for-RW", "d-null-for-Ego", "d-set-for-Unif"])
+    def test_exit_code_2_on_corpus_stats_values(self, tmp_path, capsys, edit):
+        stats = tmp_path / "corpus_stats.json"
+        stats.write_text(json.dumps({"n_parent": 20, "scheme": "RW", "k": 3, "d": 1} | edit))
+        (tmp_path / "corpus.jsonl").write_text(self.GOOD_LINE)
+        assert cli.main(["train", "--steps", "2", "--out", str(tmp_path)]) == 2
+        assert str(stats) in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_unif_corpus_stats_with_null_d_train(self, tmp_path):
+        stats = {"n_parent": 20, "scheme": "Unif", "k": 3, "d": None}
+        (tmp_path / "corpus_stats.json").write_text(json.dumps(stats))
+        (tmp_path / "corpus.jsonl").write_text(self.GOOD_LINE)
+        assert cli.main(["train", "--steps", "2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("text, line", [
         (GOOD_LINE + '{"edges": [[0, 1]], "ids": [3', 2),  # truncated
         (GOOD_LINE * 2 + GOOD_LINE[:-1], 3),  # the last line cut before its newline
@@ -928,9 +950,9 @@ def test_deeply_nested_json_exits_2_naming_it(tmp_path, capsys, name):
     assert str(bad) in capsys.readouterr().err
 
 
-def test_generate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at n=1000 the reverse chain runs no product over n, so generate writes
-    # the same bytes from one checkpoint under one and two OpenBLAS threads
+def _n1000_config(tmp_path):
+    """Config of a 4x250 SBM (n=1000), RW k=20 d=1, T=40, 3 train steps and
+    80 target edges, writing to tmp_path/out."""
     dataset = tmp_path / "sbm.edgelist"
     save_edge_list(sbm_graph([250] * 4, 0.03, 0.002, seed=2), dataset)
     cfg_path = tmp_path / "cfg.json"
@@ -938,20 +960,47 @@ def test_generate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         "dataset": str(dataset), "k": 20, "d": 1, "T": 40, "seed": 3,
         "denoiser": {"steps": 3}, "assembly": {"target_edges": 80},
         "out": str(tmp_path / "out")}))
+    return cfg_path
+
+
+def _child_outputs(cfg_path, command, names, out, env):
+    """Bytes of `names` after `command` runs in a child process under `env`
+    on a copy, at `out`, of the config's out/."""
+    shutil.copytree(cfg_path.parent / "out", out)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "graphstitch", command,
+                    "--config", str(cfg_path), "--out", str(out)],
+                   env=env, check=True, timeout=300)
+    return [(out / name).read_bytes() for name in names]
+
+
+def test_generate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n=1000 the reverse chain runs no product over n, so generate writes
+    # the same bytes from one checkpoint under one and two OpenBLAS threads
+    cfg_path = _n1000_config(tmp_path)
     cfg = pipeline.load_config(cfg_path)
     pipeline.cmd_sample(cfg)
     pipeline.cmd_train(cfg)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    written = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        shutil.copytree(tmp_path / "out", out)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "graphstitch", "generate",
-                        "--config", str(cfg_path), "--out", str(out)],
-                       env=env, check=True, timeout=300)
-        written[threads] = [(out / name).read_bytes()
-                            for name in ("synthetic.edgelist", "assembly_report.json")]
+    written = {threads: _child_outputs(cfg_path, "generate",
+                                       ("synthetic.edgelist", "assembly_report.json"),
+                                       tmp_path / f"threads-{threads}",
+                                       dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+               for threads in ("1", "2")}
     assert written["1"] == written["2"]
     assert written["1"][0].count(b"\n") > 80  # the header plus at least 80 edges
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_timeout(tmp_path):
+    # the package lets OpenBLAS's idle worker sleep (OPENBLAS_THREAD_TIMEOUT
+    # 4) instead of spinning; both threads still run, so train at n=1000
+    # writes the same bytes as under OpenBLAS's own timeout (2**28 cycles)
+    cfg_path = _n1000_config(tmp_path)
+    pipeline.cmd_sample(pipeline.load_config(cfg_path))
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    written = {timeout: _child_outputs(cfg_path, "train", ("checkpoint.json", "loss.csv"),
+                                       tmp_path / f"timeout-{timeout}", env)
+               for timeout, env in (("default", unset),
+                                    ("28", dict(unset, OPENBLAS_THREAD_TIMEOUT="28")))}
+    assert written["default"] == written["28"]
+    assert written["default"][1].count(b"\n") == 4  # the header and three steps

@@ -1,10 +1,12 @@
-"""Which CLI commands load scipy.
+"""What each CLI command's process loads and sets at start-up.
 
 Every command runs as its own process, so a module-level scipy import
-costs each one about 0.3 s of start-up. graphstitch imports scipy inside
-the functions that compute with it; these tests run each command in a
-fresh interpreter on a tiny dataset and read `sys.modules` afterwards, so
-a later module-level import shows up here.
+costs each one about 0.3 s of start-up, and numpy.ma (which np.unique
+imports on its first call) about 9 ms. graphstitch imports scipy inside
+the functions that compute with it and calls no np.unique; these tests run
+each command in a fresh interpreter on a tiny dataset and read
+`sys.modules` afterwards, so a later import shows up here. They also read
+the OpenBLAS thread timeout the package sets before numpy loads.
 """
 
 import json
@@ -18,19 +20,27 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # imports the package, runs cli.main on the JSON argv (if any), and prints
-# the exit code and the scipy modules loaded as its last stdout line
+# the exit code, the scipy modules loaded, whether numpy.ma is loaded and
+# OPENBLAS_THREAD_TIMEOUT as its last stdout line
 PROBE = """
-import json, sys
+import json, os, sys
 import graphstitch
 from graphstitch import cli
 rc = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
 print(json.dumps({"rc": rc, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy.ma": "numpy.ma" in sys.modules,
+    "blas_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
 """
 
 
-def probe(argv, cwd):
+def probe(argv, cwd, blas_timeout=None):
+    """The probe's report; OPENBLAS_THREAD_TIMEOUT is `blas_timeout` in its
+    environment, or unset when None."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if blas_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = blas_timeout
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-c", PROBE] + ([json.dumps(argv)] if argv is not None else [])
@@ -42,7 +52,7 @@ def probe(argv, cwd):
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """{run name: {"rc", "scipy"}} for one tiny chain, each command in a
+    """{run name: the probe's report} for one tiny chain, each command in a
     fresh process, in dependency order."""
     root = tmp_path_factory.mktemp("startup")
     out = root / "out"
@@ -72,8 +82,11 @@ def loaded(tmp_path_factory):
     return {name: probe(argv, root) for name, argv in runs}
 
 
-@pytest.mark.parametrize("name", ["import", "fixture-sbm", "sample-RW", "sample-Unif",
-                                  "sample-Ego", "train", "generate", "linkpred"])
+NO_SCIPY = ["import", "fixture-sbm", "sample-RW", "sample-Unif", "sample-Ego", "train",
+            "generate", "linkpred"]
+
+
+@pytest.mark.parametrize("name", NO_SCIPY)
 def test_loads_no_scipy(loaded, name):
     assert loaded[name]["rc"] in (None, 0)
     assert loaded[name]["scipy"] == []
@@ -83,3 +96,19 @@ def test_loads_no_scipy(loaded, name):
 def test_scipy_commands_run(loaded, name):
     assert loaded[name]["rc"] == 0
     assert "scipy.sparse.csgraph" in loaded[name]["scipy"]
+
+
+# eval and progressive load numpy.ma with scipy.sparse, which imports it
+@pytest.mark.parametrize("name", NO_SCIPY)
+def test_loads_no_numpy_ma(loaded, name):
+    assert loaded[name]["rc"] in (None, 0)
+    assert loaded[name]["numpy.ma"] is False
+
+
+@pytest.mark.parametrize("name", NO_SCIPY + ["eval", "progressive"])
+def test_openblas_idle_worker_sleeps(loaded, name):
+    assert loaded[name]["blas_timeout"] == "4"
+
+
+def test_exported_blas_thread_timeout_wins(tmp_path):
+    assert probe(None, tmp_path, blas_timeout="20")["blas_timeout"] == "20"
